@@ -488,20 +488,29 @@ impl DdPolice {
         let cfg = &self.cfg;
         let exchange = &self.exchange;
         let tracing = self.trace.is_some();
-        let shards = self.verdicts.shards(part.boundaries());
-        let mut results: Vec<PartitionOutcome> = Vec::with_capacity(part.parts());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(part.parts());
-            for ((p, shard), cache) in shards.into_iter().enumerate().zip(&mut self.worker_caches) {
-                let range = part.range(p);
-                handles.push(scope.spawn(move || {
-                    judge_partition(range, shard, cache, frozen, exchange, cfg, tracing, mon)
-                }));
-            }
-            for h in handles {
-                results.push(h.join().expect("judgment worker panicked"));
-            }
-        });
+        let worker_caches = &mut self.worker_caches;
+        let mut results: Vec<PartitionOutcome> =
+            self.verdicts.with_shards(part.boundaries(), |shards| {
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = shards
+                        .into_iter()
+                        .enumerate()
+                        .zip(worker_caches.iter_mut())
+                        .map(|((p, shard), cache)| {
+                            let range = part.range(p);
+                            scope.spawn(move || {
+                                judge_partition(
+                                    range, shard, cache, frozen, exchange, cfg, tracing, mon,
+                                )
+                            })
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("judgment worker panicked"))
+                        .collect()
+                })
+            });
         if self.unordered_reduction {
             // Sabotage (see `set_unordered_reduction`): a reversed merge is
             // what a racy unordered reduction would produce.

@@ -260,6 +260,51 @@ impl ddp_snapshot::Snapshottable for SuspectEntry {
 pub struct VerdictMachine {
     /// Per-observer: suspect id → entry.
     entries: Vec<HashMap<u32, SuspectEntry>>,
+    /// Reverse holder index: suspect id → the observers that may hold an
+    /// entry about it, each at most once, so
+    /// [`forget_suspect`](Self::forget_suspect) touches only those. Every
+    /// insertion of a new key is indexed; removals are not, so the list
+    /// may over-approximate (removing an absent key is a no-op) but never
+    /// misses a holder. Derived state: rebuilt on load, never serialized,
+    /// never hashed.
+    observers_of: HashMap<u32, Vec<u32>>,
+}
+
+/// Add `observer` to `suspect`'s holder list unless it is already there.
+/// Before the list reallocates, observers that no longer hold an entry are
+/// pruned, and the list doubles if fewer than half were stale — so stale
+/// holders never outnumber live ones by more than the list's growth slack,
+/// and pruning costs O(1) amortized per insertion.
+fn index_holder(
+    observers_of: &mut HashMap<u32, Vec<u32>>,
+    entries: &[HashMap<u32, SuspectEntry>],
+    observer: u32,
+    suspect: u32,
+) {
+    let list = observers_of.entry(suspect).or_default();
+    if list.contains(&observer) {
+        return;
+    }
+    if list.len() == list.capacity() && list.len() >= 8 {
+        let cap = list.capacity();
+        list.retain(|&o| entries[o as usize].contains_key(&suspect));
+        if list.len() > cap / 2 {
+            list.reserve(cap);
+        }
+    }
+    list.push(observer);
+}
+
+/// Run `op` on one observer's map; `op` may insert no key but `suspect`'s.
+/// Returns its result and whether it left a new key behind (the map grew).
+fn keyed_op<R>(
+    map: &mut HashMap<u32, SuspectEntry>,
+    op: impl FnOnce(&mut HashMap<u32, SuspectEntry>) -> R,
+) -> (R, bool) {
+    let before = map.len();
+    let r = op(map);
+    let grew = map.len() > before;
+    (r, grew)
 }
 
 fn ledger_state(state: SuspectState) -> PeerVerdict {
@@ -279,7 +324,25 @@ fn ledger_state(state: SuspectState) -> PeerVerdict {
 impl VerdictMachine {
     /// State machines for `n` observer slots.
     pub fn new(n: usize) -> Self {
-        VerdictMachine { entries: (0..n).map(|_| HashMap::new()).collect() }
+        VerdictMachine {
+            entries: (0..n).map(|_| HashMap::new()).collect(),
+            observers_of: HashMap::new(),
+        }
+    }
+
+    /// Run `op` on `observer`'s map and index the suspect key it inserted,
+    /// if any. `op` may insert no key but `suspect`'s.
+    fn indexed<R>(
+        &mut self,
+        observer: NodeId,
+        suspect: NodeId,
+        op: impl FnOnce(&mut HashMap<u32, SuspectEntry>) -> R,
+    ) -> R {
+        let (r, inserted) = keyed_op(&mut self.entries[observer.index()], op);
+        if inserted {
+            index_holder(&mut self.observers_of, &self.entries, observer.0, suspect.0);
+        }
+        r
     }
 
     /// The entry `observer` holds about `suspect`, if any (for tests).
@@ -324,7 +387,7 @@ impl VerdictMachine {
     /// Record a missing neighbor-list snapshot for an over-warning suspect
     /// and return the updated consecutive-miss streak.
     pub fn note_list_missing(&mut self, observer: NodeId, suspect: NodeId) -> u8 {
-        note_list_missing_in(&mut self.entries[observer.index()], suspect)
+        self.indexed(observer, suspect, |map| note_list_missing_in(map, suspect))
     }
 
     /// A usable snapshot arrived: the miss streak resets.
@@ -349,16 +412,9 @@ impl VerdictMachine {
         readmission: ReadmissionPolicy,
         actions: &mut Actions,
     ) -> bool {
-        judged_in(
-            &mut self.entries[observer.index()],
-            observer,
-            suspect,
-            over_ct,
-            tick,
-            hysteresis,
-            readmission,
-            actions,
-        )
+        self.indexed(observer, suspect, |map| {
+            judged_in(map, observer, suspect, over_ct, tick, hysteresis, readmission, actions)
+        })
     }
 
     /// An overlay edge between `u` and `v` vanished (cut or churn): drop
@@ -385,12 +441,10 @@ impl VerdictMachine {
     /// is about to be recycled): every observer drops whatever verdict it
     /// holds about that identity — including quarantine, since there is
     /// nobody left to probe and a future occupant of the address must not
-    /// inherit the sentence.
+    /// inherit the sentence. Costs O(holders of `suspect`), not O(peers).
     pub fn forget_suspect(&mut self, suspect: NodeId) {
-        for map in &mut self.entries {
-            if !map.is_empty() {
-                map.remove(&suspect.0);
-            }
+        for o in self.observers_of.remove(&suspect.0).unwrap_or_default() {
+            self.entries[o as usize].remove(&suspect.0);
         }
     }
 
@@ -428,21 +482,37 @@ impl VerdictMachine {
 
     /// Split the machine into disjoint per-partition [`VerdictShard`]s along
     /// `bounds` (the partitioner's `boundaries()` layout: ascending, starting
-    /// at 0 and ending at the observer count). Each shard owns the suspicion
-    /// state of one contiguous observer range, so worker threads can judge
-    /// their partitions concurrently while the borrow checker proves no two
-    /// ever touch the same observer's entries.
-    pub fn shards<'a>(&'a mut self, bounds: &[usize]) -> Vec<VerdictShard<'a>> {
+    /// at 0 and ending at the observer count) and hand them to `f`. Each
+    /// shard owns the suspicion state of one contiguous observer range, so
+    /// worker threads can judge their partitions concurrently while the
+    /// borrow checker proves no two ever touch the same observer's entries.
+    ///
+    /// The holder index spans partitions, so shards cannot write it: each
+    /// logs the keys it newly inserted, and once `f` returns the logs are
+    /// merged serially in partition order.
+    pub fn with_shards<R>(
+        &mut self,
+        bounds: &[usize],
+        f: impl FnOnce(Vec<VerdictShard<'_>>) -> R,
+    ) -> R {
         assert_eq!(bounds.first(), Some(&0), "bounds must start at 0");
         assert_eq!(bounds.last(), Some(&self.entries.len()), "bounds must end at observer count");
-        let mut shards = Vec::with_capacity(bounds.len().saturating_sub(1));
-        let mut rest: &mut [HashMap<u32, SuspectEntry>] = &mut self.entries;
-        for w in bounds.windows(2) {
-            let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-            shards.push(VerdictShard { base: w[0], entries: head });
-            rest = tail;
+        let parts = bounds.len().saturating_sub(1);
+        let mut logs: Vec<Vec<(u32, u32)>> = (0..parts).map(|_| Vec::new()).collect();
+        let r = {
+            let mut shards = Vec::with_capacity(parts);
+            let mut rest: &mut [HashMap<u32, SuspectEntry>] = &mut self.entries;
+            for (w, new_keys) in bounds.windows(2).zip(&mut logs) {
+                let (head, tail) = rest.split_at_mut(w[1] - w[0]);
+                shards.push(VerdictShard { base: w[0], entries: head, new_keys });
+                rest = tail;
+            }
+            f(shards)
+        };
+        for (observer, suspect) in logs.into_iter().flatten() {
+            index_holder(&mut self.observers_of, &self.entries, observer, suspect);
         }
-        shards
+        r
     }
 
     /// Whether `observer` holds a live quarantine or probation verdict about
@@ -464,7 +534,34 @@ impl VerdictMachine {
 
     /// How many observers hold an entry about `suspect` (diagnostics).
     pub fn entries_about(&self, suspect: NodeId) -> usize {
-        self.entries.iter().filter(|m| m.contains_key(&suspect.0)).count()
+        self.observers_of.get(&suspect.0).map_or(0, |list| {
+            list.iter().filter(|&&o| self.entries[o as usize].contains_key(&suspect.0)).count()
+        })
+    }
+
+    /// Check the holder index against the entries: every held entry is
+    /// indexed, and no `(observer, suspect)` pair is indexed twice. Stale
+    /// holders are allowed. `Err` names the first fault. O(entries + index)
+    /// — for tests and audits, not hot paths.
+    pub fn check_holder_index(&self) -> Result<(), String> {
+        let mut indexed: Vec<(u32, u32)> = Vec::new();
+        for (&s, list) in &self.observers_of {
+            indexed.extend(list.iter().map(|&o| (o, s)));
+        }
+        indexed.sort_unstable();
+        if let Some(w) = indexed.windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!("observer {} indexed twice as a holder of {}", w[0].0, w[0].1));
+        }
+        for (o, map) in self.entries.iter().enumerate() {
+            let mut held: Vec<u32> = map.keys().copied().collect();
+            held.sort_unstable();
+            if let Some(s) =
+                held.into_iter().find(|&s| indexed.binary_search(&(o as u32, s)).is_err())
+            {
+                return Err(format!("observer {o} holds an entry about {s} but is not indexed"));
+            }
+        }
+        Ok(())
     }
 
     /// Serialize every observer's entries, each map sorted by suspect id —
@@ -499,7 +596,13 @@ impl VerdictMachine {
             }
             entries.push(map);
         }
-        Ok(VerdictMachine { entries })
+        let mut observers_of: HashMap<u32, Vec<u32>> = HashMap::new();
+        for (o, map) in entries.iter().enumerate() {
+            for &s in map.keys() {
+                observers_of.entry(s).or_default().push(o as u32);
+            }
+        }
+        Ok(VerdictMachine { entries, observers_of })
     }
 
     /// Every entry `observer` holds, sorted by suspect id — the canonical
@@ -518,18 +621,35 @@ impl VerdictMachine {
 
 /// A disjoint slice of a [`VerdictMachine`]: the suspicion state of one
 /// contiguous observer range `base..base + entries.len()`, carved out by
-/// [`VerdictMachine::shards`]. Exposes exactly the per-observer operations
-/// the judgment fast path needs; each delegates to the same free function
-/// the whole-machine method uses, so a sharded run makes bit-identical
-/// per-observer decisions to a serial one.
+/// [`VerdictMachine::with_shards`]. Exposes exactly the per-observer
+/// operations the judgment fast path needs; each delegates to the same free
+/// function the whole-machine method uses, so a sharded run makes
+/// bit-identical per-observer decisions to a serial one.
 pub struct VerdictShard<'a> {
     base: usize,
     entries: &'a mut [HashMap<u32, SuspectEntry>],
+    /// `(observer, suspect)` keys this shard newly inserted, in insertion
+    /// order, for the machine to index after the shards are done.
+    new_keys: &'a mut Vec<(u32, u32)>,
 }
 
 impl VerdictShard<'_> {
     fn map_mut(&mut self, observer: NodeId) -> &mut HashMap<u32, SuspectEntry> {
         &mut self.entries[observer.index() - self.base]
+    }
+
+    /// [`VerdictMachine::indexed`] for a shard: log instead of index.
+    fn logged<R>(
+        &mut self,
+        observer: NodeId,
+        suspect: NodeId,
+        op: impl FnOnce(&mut HashMap<u32, SuspectEntry>) -> R,
+    ) -> R {
+        let (r, inserted) = keyed_op(self.map_mut(observer), op);
+        if inserted {
+            self.new_keys.push((observer.0, suspect.0));
+        }
+        r
     }
 
     /// [`VerdictMachine::fire_probes`] for an observer in this shard.
@@ -555,7 +675,7 @@ impl VerdictShard<'_> {
 
     /// [`VerdictMachine::note_list_missing`] for an observer in this shard.
     pub fn note_list_missing(&mut self, observer: NodeId, suspect: NodeId) -> u8 {
-        note_list_missing_in(self.map_mut(observer), suspect)
+        self.logged(observer, suspect, |map| note_list_missing_in(map, suspect))
     }
 
     /// [`VerdictMachine::note_list_ok`] for an observer in this shard.
@@ -575,16 +695,9 @@ impl VerdictShard<'_> {
         readmission: ReadmissionPolicy,
         actions: &mut Actions,
     ) -> bool {
-        judged_in(
-            self.map_mut(observer),
-            observer,
-            suspect,
-            over_ct,
-            tick,
-            hysteresis,
-            readmission,
-            actions,
-        )
+        self.logged(observer, suspect, |map| {
+            judged_in(map, observer, suspect, over_ct, tick, hysteresis, readmission, actions)
+        })
     }
 
     /// [`VerdictMachine::expire_stale`] for an observer in this shard.
@@ -1066,6 +1179,49 @@ mod tests {
     }
 
     #[test]
+    fn holder_index_check_catches_a_missing_or_duplicate_holder() {
+        let mut m = VerdictMachine::new(3);
+        let sus = NodeId(2);
+        let r = ReadmissionPolicy { enabled: true, ..ReadmissionPolicy::default() };
+        let mut actions = Actions::default();
+        for obs in [NodeId(0), NodeId(1)] {
+            assert!(m.judged(obs, sus, true, 1, Hysteresis::default(), r, &mut actions));
+        }
+        m.check_holder_index().expect("maintained index covers every entry");
+
+        // Drop one real holder from the index: the check names it, and the
+        // indexed purge would leave that observer's quarantine behind.
+        let dropped = m.observers_of.get_mut(&sus.0).unwrap().pop().unwrap();
+        let err = m.check_holder_index().unwrap_err();
+        assert!(err.contains(&format!("observer {dropped} holds an entry about 2")), "{err}");
+        m.forget_suspect(sus);
+        assert!(m.entry(NodeId(dropped), sus).is_some());
+
+        // A duplicated pair is caught too; a stale one is allowed.
+        m.observers_of.insert(sus.0, vec![dropped, dropped]);
+        assert!(m.check_holder_index().unwrap_err().contains("indexed twice"));
+        m.forget_suspect(sus);
+        m.observers_of.insert(sus.0, vec![0, 1]);
+        m.check_holder_index().expect("stale holders are harmless");
+    }
+
+    #[test]
+    fn stale_holders_are_pruned_before_the_list_grows() {
+        let mut m = VerdictMachine::new(64);
+        let sus = NodeId(63);
+        // 62 observers each open a Watching entry and drop it again: every
+        // one leaves a stale holder behind, which later insertions prune.
+        for o in 0..62u32 {
+            assert_eq!(m.note_list_missing(NodeId(o), sus), 1);
+            m.below_warning(NodeId(o), sus);
+            m.check_holder_index().unwrap();
+        }
+        assert_eq!(m.entries_about(sus), 0);
+        let len = m.observers_of[&sus.0].len();
+        assert!(len <= 8, "stale holders pruned as the list grew: {len}");
+    }
+
+    #[test]
     fn expire_stale_collects_departed_and_overdue_suspects() {
         let mut m = VerdictMachine::new(4);
         let obs = NodeId(0);
@@ -1150,8 +1306,7 @@ mod tests {
 
         // Sharded: the same operations through disjoint shard views.
         let mut sharded = VerdictMachine::new(6);
-        {
-            let mut shards = sharded.shards(&[0, 3, 6]);
+        sharded.with_shards(&[0, 3, 6], |mut shards| {
             let (lo, hi) = {
                 let (a, b) = shards.split_at_mut(1);
                 (&mut a[0], &mut b[0])
@@ -1176,7 +1331,10 @@ mod tests {
             merged.transitions.extend(a0.transitions.iter().chain(a1.transitions.iter()).cloned());
             assert_eq!(merged.reconnects, sa.reconnects);
             assert_eq!(merged.transitions, sa.transitions);
-        }
+        });
+        sharded.check_holder_index().expect("shard logs merged into the index");
+        assert_eq!(sharded.entries_about(NodeId(4)), 1);
+        assert_eq!(sharded.entries_about(NodeId(0)), 1);
         for obs in 0..6 {
             assert_eq!(
                 sharded.entries_of(NodeId(obs)),
@@ -1190,7 +1348,7 @@ mod tests {
     #[should_panic(expected = "bounds must end at observer count")]
     fn shards_reject_mismatched_bounds() {
         let mut m = VerdictMachine::new(4);
-        let _ = m.shards(&[0, 2]);
+        m.with_shards(&[0, 2], |_| ());
     }
 
     #[test]

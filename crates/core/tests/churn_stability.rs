@@ -150,6 +150,152 @@ fn ttl_disabled_preserves_the_static_membership_behavior() {
     }
 }
 
+/// `(verdict entries, list snapshots)` held by or about one identity.
+type Footprint = (usize, usize);
+
+/// Defense state about `node` that a brute-force scan finds: verdict
+/// entries held by or about it, and snapshots held by or of it.
+fn footprint_about(police: &DdPolice, node: NodeId) -> Footprint {
+    let verdicts = police.verdicts();
+    let entries = (0..verdicts.slot_count())
+        .map(|o| {
+            let held = verdicts.entries_of(NodeId::from_index(o));
+            if o == node.index() {
+                held.len()
+            } else {
+                held.iter().filter(|&&(s, _)| s == node.0).count()
+            }
+        })
+        .sum();
+    let snapshots = police
+        .exchange()
+        .all_snapshots()
+        .iter()
+        .filter(|&&(i, j, _)| i == node.0 || j == node.0)
+        .count();
+    (entries, snapshots)
+}
+
+#[test]
+fn departure_purges_quarantines_held_by_former_neighbors() {
+    // Peer 0 floods both neighbors 1 and 2; both cut and quarantine it. The
+    // cuts remove both edges, so by the time 0 departs no adjacency leads
+    // back to the observers still holding its quarantine clock.
+    let mut overlay = small_overlay();
+    let online = vec![true; 4];
+    for victim in [NodeId(1), NodeId(2)] {
+        let slot = overlay.neighbors(NodeId(0)).iter().position(|h| h.peer == victim).unwrap();
+        overlay.record_accept(NodeId(0), slot, 20_000);
+    }
+    let mut police = DdPolice::new(churn_cfg(), 4);
+    let mut actions = Actions::default();
+    police.on_tick(&obs(&overlay, 1, &online), &mut actions);
+    assert_eq!(actions.cuts.len(), 2, "both neighbors cut the flooder");
+    for &(observer, suspect) in &actions.cuts {
+        overlay.remove_edge(observer, suspect);
+        police.on_edge_removed(
+            observer,
+            suspect,
+            overlay.degree(observer),
+            overlay.degree(suspect),
+        );
+    }
+    assert_eq!(overlay.degree(NodeId(0)), 0, "peer 0 has no edges left");
+    assert_eq!(footprint_about(&police, NodeId(0)).0, 2, "both quarantines outlive their edges");
+
+    police.on_peer_departed(NodeId(0));
+
+    assert_eq!(footprint_about(&police, NodeId(0)), (0, 0));
+    police.verdicts().check_holder_index().unwrap();
+    police.exchange().check_holder_index().unwrap();
+}
+
+/// [`DdPolice`] plus, for every `on_peer_departed` call, what a brute-force
+/// scan found about the identity before and after the purge.
+struct PurgeRecorder {
+    inner: DdPolice,
+    /// `(identity, footprint before, footprint after)` per purge.
+    purges: Vec<(NodeId, Footprint, Footprint)>,
+}
+
+impl Defense for PurgeRecorder {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn on_tick(&mut self, obs: &TickObservation<'_>, actions: &mut Actions) {
+        self.inner.on_tick(obs, actions)
+    }
+    fn set_parallelism(&mut self, threads: usize) {
+        self.inner.set_parallelism(threads)
+    }
+    fn on_peer_reset(&mut self, node: NodeId) {
+        self.inner.on_peer_reset(node)
+    }
+    fn on_edge_added(&mut self, u: NodeId, v: NodeId, deg_u: usize, deg_v: usize) {
+        self.inner.on_edge_added(u, v, deg_u, deg_v)
+    }
+    fn on_edge_removed(&mut self, u: NodeId, v: NodeId, deg_u: usize, deg_v: usize) {
+        self.inner.on_edge_removed(u, v, deg_u, deg_v)
+    }
+    fn on_peer_departed(&mut self, node: NodeId) {
+        let before = footprint_about(&self.inner, node);
+        self.inner.on_peer_departed(node);
+        self.purges.push((node, before, footprint_about(&self.inner, node)));
+    }
+    fn on_nodes_grown(&mut self, n: usize) {
+        self.inner.on_nodes_grown(n)
+    }
+    fn forbids_link(&self, u: NodeId, v: NodeId) -> bool {
+        self.inner.forbids_link(u, v)
+    }
+}
+
+#[test]
+fn recycling_a_crashed_slot_purges_what_its_former_neighbors_held() {
+    // Every departure is a crash: the peer's edges are removed but no
+    // goodbye runs. The only purge is the one `session_arrivals` runs when
+    // it hands the slot to a newcomer, and by then the crashed identity has
+    // no live edges. The agents under-report what they sent (§3.4 Case 2),
+    // so good forwarders next to them get cut; readmission keeps those cuts
+    // as quarantines, and with the TTL sweep off they survive the crash of
+    // the forwarder until that purge.
+    let mut session = SessionConfig::steady_state(150, 6.0);
+    session.crash_fraction = 1.0;
+    let cfg = SimConfig {
+        topology: TopologyConfig { n: 150, model: TopologyModel::BarabasiAlbert { m: 3 } },
+        churn: false,
+        session: Some(session),
+        ..SimConfig::default()
+    };
+    let police_cfg = DdPoliceConfig {
+        readmission: ReadmissionPolicy {
+            enabled: true,
+            base_backoff_ticks: 64,
+            ..ReadmissionPolicy::default()
+        },
+        ..DdPoliceConfig::default()
+    };
+    let recorder = PurgeRecorder { inner: DdPolice::new(police_cfg, 150), purges: Vec::new() };
+    let mut sim = Simulation::new(cfg, recorder, 42);
+    for a in [5u32, 25, 50, 75, 100, 125] {
+        sim.make_attacker(NodeId(a), ReportBehavior::Deflate(0.0));
+    }
+    for _ in 0..30 {
+        sim.step();
+    }
+    let stats = sim.session_stats();
+    assert_eq!(stats.leaves, 0, "every departure crashed");
+    let purges = &sim.defense().purges;
+    assert!(purges.len() > 20, "slots were recycled: {}", purges.len());
+    assert!(
+        purges.iter().any(|&(_, before, _)| before.0 > 0),
+        "some recycled identity was still quarantined by a former neighbor"
+    );
+    for &(node, before, after) in purges {
+        assert_eq!(after, (0, 0), "slot {node:?} kept state about its last occupant: {before:?}");
+    }
+}
+
 /// The end-to-end bounded-memory regression: a long run under the session
 /// model (heavy join/leave/crash traffic, slots recycled and grown) must not
 /// accumulate defense state. The footprint at the end stays within a small

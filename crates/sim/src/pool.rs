@@ -70,16 +70,17 @@ where
 /// layout [`ddp_topology::Partition::boundaries`] produces). Each chunk is
 /// written by exactly one worker; the borrow checker enforces disjointness
 /// through `split_at_mut`, so the result is identical to a serial sweep no
-/// matter the interleaving.
-pub fn run_chunked<T, F>(threads: usize, data: &mut [T], bounds: &[usize], f: F)
+/// matter the interleaving. Returns each call's result in ascending chunk
+/// order — a single result when the sweep runs serially over all of `data`.
+pub fn run_chunked<T, R, F>(threads: usize, data: &mut [T], bounds: &[usize], f: F) -> Vec<R>
 where
     T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
 {
     debug_assert!(bounds.first() == Some(&0) && bounds.last() == Some(&data.len()));
     if threads <= 1 || bounds.len() <= 2 {
-        f(0, data);
-        return;
+        return vec![f(0, data)];
     }
     // Carve the slice into per-partition chunks up front; one scoped thread
     // per chunk (partition counts track the thread count, so this never
@@ -93,14 +94,10 @@ where
     }
     std::thread::scope(|scope| {
         let f = &f;
-        let mut handles = Vec::with_capacity(chunks.len());
-        for (start, chunk) in chunks {
-            handles.push(scope.spawn(move || f(start, chunk)));
-        }
-        for h in handles {
-            h.join().expect("worker panicked");
-        }
-    });
+        let handles: Vec<_> =
+            chunks.into_iter().map(|(start, chunk)| scope.spawn(move || f(start, chunk))).collect();
+        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+    })
 }
 
 #[cfg(test)]
@@ -155,6 +152,17 @@ mod tests {
             let serial: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
             assert_eq!(parallel, serial, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn chunked_results_come_back_in_chunk_order() {
+        let mut data = vec![0u8; 30];
+        let bounds = [0usize, 4, 4, 19, 30];
+        assert_eq!(
+            run_chunked(4, &mut data, &bounds, |start, c| (start, c.len())),
+            [(0, 4), (4, 0), (4, 15), (19, 11)]
+        );
+        assert_eq!(run_chunked(1, &mut data, &bounds, |start, c| (start, c.len())), [(0, 30)]);
     }
 
     #[test]

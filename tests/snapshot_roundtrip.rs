@@ -190,6 +190,75 @@ fn snapshot_crosses_worker_counts_bit_exact() {
 }
 
 #[test]
+fn restored_holder_indexes_purge_departures_like_the_uninterrupted_run() {
+    // The holder indexes behind the departure purge are never serialized: a
+    // restore rebuilds them from the views and verdicts. Snapshot in the
+    // middle of session churn, restore into a fresh engine, and step
+    // through further departures; a holder the rebuilt index missed would
+    // leave state behind and split the per-tick state hashes.
+    use ddpolice::police::{DdPoliceConfig, ReadmissionPolicy};
+    use ddpolice::sim::{ReportBehavior, SessionConfig, SimConfig};
+    use ddpolice::topology::{NodeId, TopologyConfig, TopologyModel};
+
+    let build = || {
+        let cfg = SimConfig {
+            topology: TopologyConfig { n: 150, model: TopologyModel::BarabasiAlbert { m: 3 } },
+            churn: false,
+            session: Some(SessionConfig::steady_state(150, 6.0)),
+            ..SimConfig::default()
+        };
+        let police_cfg = DdPoliceConfig {
+            readmission: ReadmissionPolicy { enabled: true, ..ReadmissionPolicy::default() },
+            ..DdPoliceConfig::default()
+        };
+        let mut sim = Simulation::new(cfg, DdPolice::new(police_cfg, 150), 11);
+        // Under-reporting agents get good forwarders quarantined, so the
+        // departures below purge verdicts held by other peers.
+        for a in [5u32, 50, 100] {
+            sim.make_attacker(NodeId(a), ReportBehavior::Deflate(0.0));
+        }
+        sim
+    };
+    let (snapshot_tick, ticks) = (8u32, 20u32);
+
+    let mut reference = build();
+    reference.enable_hash_trace();
+    while reference.tick() < ticks {
+        reference.step();
+    }
+    let reference_hashes = reference.hash_trace().to_vec();
+
+    let mut first = build();
+    while first.tick() < snapshot_tick {
+        first.step();
+    }
+    let bytes = first.save_snapshot().unwrap();
+    let departed_at_cut = first.session_stats();
+    drop(first);
+
+    for threads in [1usize, 2] {
+        let mut resumed = build();
+        resumed.restore_snapshot(&bytes).unwrap();
+        resumed.set_threads(threads);
+        let mut hashes = Vec::new();
+        while resumed.tick() < ticks {
+            resumed.step();
+            hashes.push(resumed.state_hash());
+        }
+        let stats = resumed.session_stats();
+        assert!(
+            stats.leaves > departed_at_cut.leaves + 10 && stats.crashes > departed_at_cut.crashes,
+            "the resumed stretch must include graceful leaves and crashes: {stats:?}"
+        );
+        assert_eq!(
+            &reference_hashes[snapshot_tick as usize..],
+            &hashes[..],
+            "post-restore hash trail diverged at {threads} threads"
+        );
+    }
+}
+
+#[test]
 fn truncated_snapshot_is_a_typed_error() {
     let (spec, path) = written_snapshot("truncated");
     let bytes = std::fs::read(&path).unwrap();
