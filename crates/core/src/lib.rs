@@ -33,6 +33,9 @@ pub mod verdict;
 
 pub use baselines::NaiveRateLimit;
 pub use config::{DdPoliceConfig, MonitorBackend, SketchParams};
+/// The report type [`group_traffic_sums`] takes, for callers outside the
+/// simulator (the wire servent).
+pub use ddp_sim::TrafficReport;
 pub use exchange::ExchangePolicy;
 pub use police::{group_traffic_sums, DdPolice, JudgmentTrace, SketchStats};
 pub use verdict::{

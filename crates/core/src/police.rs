@@ -16,13 +16,13 @@
 //! the exchange step) is judged after a grace period from the observer's own
 //! counters alone — refusing to participate cannot be a shield.
 
-use crate::buddy::{assemble, verified_members_into, BuddyGroup};
+use crate::buddy::{assemble, verified_members_into};
 use crate::config::DdPoliceConfig;
-use crate::exchange::ExchangeState;
+use crate::exchange::{ExchangeState, Snapshot};
 use crate::indicator::{general_indicator, is_bad, single_indicator};
 use crate::verdict::{aggregate_group_traffic, AggregationPolicy, VerdictMachine, VerdictShard};
 use ddp_sim::{
-    Actions, Defense, FrozenTick, ReportDelivery, ReportOutcome, Tick, TickObservation,
+    pool, Actions, Defense, FrozenTick, ReportDelivery, ReportOutcome, Tick, TickObservation,
     TrafficReport,
 };
 use ddp_sketch::{MonitorBackend, SketchMonitor};
@@ -156,12 +156,6 @@ pub struct DdPolice {
     /// an O(deg³) blowup on hub nodes. Transport faults stay per-observer:
     /// only the answer's *content* is shared. Cleared each tick.
     report_memo: HashMap<(u32, u32), Option<TrafficReport>>,
-    /// Per-suspect shared judgment inputs under the reliable/Sum fast path:
-    /// the verified member list and the report sums over it, both functions
-    /// of `(suspect, announcement tick)` alone. Each observer then adjusts
-    /// the sums for its own membership in O(1) instead of re-resolving every
-    /// member. Entries are stamped per tick; a stale stamp means "rebuild".
-    suspect_cache: Vec<SuspectTickCache>,
     /// When `Some`, every `(g, s)` judgment is appended here (differential
     /// testing against the reference oracle). Off by default: zero cost.
     trace: Option<Vec<JudgmentTrace>>,
@@ -177,10 +171,10 @@ pub struct DdPolice {
     /// classic parallel-determinism bug; the differential suite flips this to
     /// prove it actually detects one. No-op at `threads <= 1`.
     unordered_reduction: bool,
-    /// Per-worker [`suspect_cache`](Self::suspect_cache) equivalents, kept
-    /// only so their allocations survive across ticks. Like the serial cache
-    /// they are per-tick memos: never serialized, cleared on restore.
-    worker_caches: Vec<HashMap<u32, SuspectTickCache>>,
+    /// One per-suspect cache per judgment partition (see
+    /// [`SuspectTickCache`]), kept only so their allocations survive across
+    /// ticks. Per-tick memos: never serialized, cleared on restore.
+    suspect_caches: Vec<HashMap<u32, SuspectTickCache>>,
     /// The sketch monitor when `cfg.monitor` selects the sketch backend
     /// (`None` under the exact default — the exact path allocates nothing).
     /// Ingest runs serially at the top of `on_tick`; judgments — serial or
@@ -192,7 +186,11 @@ pub struct DdPolice {
     sketch_stats: SketchStats,
 }
 
-/// See [`DdPolice::suspect_cache`].
+/// Per-suspect shared judgment inputs under the reliable/Sum fast path: the
+/// verified member list and the report sums over it, both functions of
+/// `(suspect, announcement tick)` alone. Each observer then adjusts the sums
+/// for its own membership in O(1) instead of re-resolving every member.
+/// Entries are stamped per tick; a stale stamp means "rebuild".
 #[derive(Debug, Clone, Default)]
 struct SuspectTickCache {
     /// Tick the entry was built in (0 = never; ticks start at 1).
@@ -227,12 +225,11 @@ impl DdPolice {
             verdicts: VerdictMachine::new(n),
             exchanged_stamp: vec![0; n],
             report_memo: HashMap::new(),
-            suspect_cache: vec![SuspectTickCache::default(); n],
             trace: None,
             force_fast_path: false,
             threads: 1,
             unordered_reduction: false,
-            worker_caches: Vec::new(),
+            suspect_caches: Vec::new(),
             monitor,
             sketch_stats: SketchStats::default(),
         }
@@ -283,12 +280,6 @@ impl DdPolice {
     #[doc(hidden)]
     pub fn set_unordered_reduction(&mut self, on: bool) {
         self.unordered_reduction = on;
-    }
-
-    fn record_trace(&mut self, tick: Tick, observer: NodeId, suspect: NodeId, g: f64, s: f64) {
-        if let Some(t) = self.trace.as_mut() {
-            t.push(JudgmentTrace { tick, observer, suspect, g, s });
-        }
     }
 
     /// The sketch monitor, when the sketch backend is active (tests,
@@ -365,174 +356,33 @@ impl DdPolice {
         (self.verdicts.total_entries(), self.exchange.total_snapshots())
     }
 
-    /// Resolve one member's `Neighbor_Traffic` report over the (possibly
-    /// faulty) transport. Transport failures are retried up to the bounded
-    /// budget (each retry charged one control message via `retry_msgs`),
-    /// then a late reply from an earlier round within the timeout window is
-    /// accepted, then §3.4's assume-zero rule applies. Refusals are final —
-    /// a silent peer stays silent no matter how often it is asked.
-    fn resolve_report(
-        &self,
-        observer: NodeId,
-        reporter: NodeId,
-        suspect: NodeId,
-        answer: Option<TrafficReport>,
-        obs: &TickObservation<'_>,
-        retry_msgs: &mut u64,
-    ) -> Option<TrafficReport> {
-        let mut attempt = 0u32;
-        loop {
-            match obs.deliver_prepared_report(observer, reporter, suspect, answer, attempt) {
-                ReportDelivery::Fresh(r) => {
-                    obs.note_report_outcome(ReportOutcome::Fresh);
-                    return Some(r);
-                }
-                ReportDelivery::Refused => {
-                    obs.note_report_outcome(ReportOutcome::Refused);
-                    return None;
-                }
-                ReportDelivery::Faulted => {
-                    if attempt < self.cfg.max_report_retries {
-                        attempt += 1;
-                        *retry_msgs += 1;
-                        obs.note_retries(1);
-                        continue;
-                    }
-                    if let Some((r, sent_at)) = obs.stale_report(observer, reporter, suspect) {
-                        if obs.tick.saturating_sub(sent_at) <= self.cfg.report_timeout_ticks {
-                            obs.note_report_outcome(ReportOutcome::Stale);
-                            return Some(r);
-                        }
-                    }
-                    obs.note_report_outcome(ReportOutcome::AssumedZero);
-                    return None;
-                }
-            }
-        }
-    }
-
-    /// Judge one suspect from one observer's position. Returns the pair of
-    /// indicators actually computed (for diagnostics/tests) and the control
-    /// messages spent on transport retries.
-    #[allow(clippy::too_many_arguments)] // one per input plane; bundling would just rename the problem
-    fn judge(
-        &self,
-        observer: NodeId,
-        group: &BuddyGroup,
-        own: TrafficReport,
-        q_suspect_to_observer: u32,
-        obs: &TickObservation<'_>,
-        mon: Mon<'_>,
-        memo: &mut HashMap<(u32, u32), Option<TrafficReport>>,
-    ) -> (f64, f64, u64) {
-        let suspect = group.suspect;
-        let mut retry_msgs = 0u64;
-        let mut member_reports = Vec::with_capacity(group.members.len());
-        for &m in &group.members {
-            if m == observer {
-                continue; // own counters are summed directly, no message
-            }
-            let answer = *memo
-                .entry((m.0, suspect.0))
-                .or_insert_with(|| mon.answer(&obs.frozen(), m, suspect));
-            let report = self
-                .resolve_report(observer, m, suspect, answer, obs, &mut retry_msgs)
-                .map(|mut r| {
-                    if self.cfg.clamp_reports_to_link {
-                        // No member can have pushed more into the suspect
-                        // than the physical link allows; impossible claims
-                        // are capped (the collusive-inflation hardening).
-                        r.sent_to_suspect =
-                            r.sent_to_suspect.min(obs.overlay.link_capacity(m, suspect));
-                    }
-                    r
-                });
-            member_reports.push(report);
-        }
-        let (sum_out_of_suspect, sum_into_suspect) =
-            aggregate_group_traffic(own, &member_reports, self.cfg.aggregation);
-        let g = general_indicator(sum_out_of_suspect, sum_into_suspect, group.k(), self.cfg.q_qpm);
-        let s = single_indicator(
-            q_suspect_to_observer as f64,
-            sum_into_suspect - own.sent_to_suspect as f64,
-            self.cfg.q_qpm,
-        );
-        (g, s, retry_msgs)
-    }
-
-    /// The sharded fast-path tick: partition the observers by degree weight,
-    /// judge each partition on its own worker over the frozen tick view,
-    /// then reduce the partition outcomes in canonical (ascending-observer)
-    /// order. Contiguous ascending partitions make concatenation identical
-    /// to the serial observer loop, so every byte of engine state — verdict
-    /// entries, cut/reconnect ordering, control-message totals, the
-    /// snapshot-age quantile feed — lands exactly as a `threads == 1` run
-    /// would leave it.
-    ///
-    /// Workers never touch the cross-suspect shared state. Anything keyed by
-    /// *suspect* rather than observer (`exchanged_stamp`, the `k(k-1)`
-    /// exchange charge, the order-sensitive metric feeds) is recorded as a
-    /// [`Deferred`] event in serial order and replayed here on the caller's
-    /// thread during the reduction.
-    fn parallel_fast_tick(
+    /// Merge the partition outcomes in partition order — ascending observer
+    /// order at every width — replaying each partition's [`Deferred`]
+    /// suspect-keyed effects on the caller's thread.
+    fn merge(
         &mut self,
+        outcomes: Vec<PartitionOutcome>,
         obs: &TickObservation<'_>,
-        mon: Mon<'_>,
         actions: &mut Actions,
     ) {
-        let frozen = obs.frozen();
-        let part = Partition::by_degree(obs.overlay.graph(), self.threads);
-        if self.worker_caches.len() < part.parts() {
-            self.worker_caches.resize_with(part.parts(), HashMap::new);
-        }
-        let cfg = &self.cfg;
-        let exchange = &self.exchange;
-        let tracing = self.trace.is_some();
-        let worker_caches = &mut self.worker_caches;
-        let mut results: Vec<PartitionOutcome> =
-            self.verdicts.with_shards(part.boundaries(), |shards| {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = shards
-                        .into_iter()
-                        .enumerate()
-                        .zip(worker_caches.iter_mut())
-                        .map(|((p, shard), cache)| {
-                            let range = part.range(p);
-                            scope.spawn(move || {
-                                judge_partition(
-                                    range, shard, cache, frozen, exchange, cfg, tracing, mon,
-                                )
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("judgment worker panicked"))
-                        .collect()
-                })
-            });
-        if self.unordered_reduction {
-            // Sabotage (see `set_unordered_reduction`): a reversed merge is
-            // what a racy unordered reduction would produce.
-            results.reverse();
-        }
-        for out in results {
+        for out in outcomes {
             for d in out.deferred {
-                match d {
-                    Deferred::Missing { suspect } => {
-                        // Own-counters-only judgment: stamps without paying
-                        // (the group is {observer}, no messages).
-                        self.exchanged_stamp[suspect as usize] = obs.tick;
-                    }
+                let (suspect, k) = match d {
+                    Deferred::Exchange { suspect, k } => (suspect, k),
                     Deferred::Shared { suspect, age, k, fresh, refused } => {
                         obs.note_snapshot_age(age);
-                        if self.exchanged_stamp[suspect as usize] != obs.tick {
-                            self.exchanged_stamp[suspect as usize] = obs.tick;
-                            actions.control_msgs += k * k.saturating_sub(1);
-                        }
-                        obs.note_report_outcomes(ReportOutcome::Fresh, fresh);
-                        obs.note_report_outcomes(ReportOutcome::Refused, refused);
+                        obs.note_report_outcomes(ReportOutcome::Fresh, fresh.into());
+                        obs.note_report_outcomes(ReportOutcome::Refused, refused.into());
+                        (suspect, k)
                     }
+                };
+                // Neighbor_Traffic exchange: k(k-1) messages, once per
+                // suspect per tick across all its observers (suppression).
+                let stamp = &mut self.exchanged_stamp[suspect as usize];
+                if *stamp != obs.tick {
+                    *stamp = obs.tick;
+                    let k = u64::from(k);
+                    actions.control_msgs += k * k.saturating_sub(1);
                 }
             }
             actions.cuts.extend(out.actions.cuts);
@@ -546,167 +396,333 @@ impl DdPolice {
     }
 }
 
-/// A fast-path side effect on suspect-keyed shared state, recorded by a
-/// worker in its partition's serial order and replayed on the reducing
-/// thread. The replay point is the only place `exchanged_stamp` and the
-/// order-sensitive engine metrics are touched during a parallel tick, so
-/// "first observer pays the suspect's `k(k-1)` charge" resolves exactly as
-/// the serial loop would.
-enum Deferred {
-    /// A missing-snapshot judgment past its grace streak stamped the suspect.
-    Missing { suspect: u32 },
-    /// A shared-snapshot judgment: feed the snapshot-age quantile, charge
-    /// `k(k-1)` if this is the suspect's first exchange this tick, and add
-    /// the bulk report-outcome tallies.
-    Shared { suspect: u32, age: Tick, k: u64, fresh: u64, refused: u64 },
+/// Resolve one member's `Neighbor_Traffic` report over the (possibly faulty)
+/// transport. Transport failures are retried up to the bounded budget (each
+/// retry charged one control message via `retry_msgs`), then a late reply
+/// from an earlier round within the timeout window is accepted, then §3.4's
+/// assume-zero rule applies. Refusals are final — a silent peer stays silent
+/// no matter how often it is asked.
+fn resolve_report(
+    cfg: &DdPoliceConfig,
+    obs: &TickObservation<'_>,
+    observer: NodeId,
+    reporter: NodeId,
+    suspect: NodeId,
+    answer: Option<TrafficReport>,
+    retry_msgs: &mut u64,
+) -> Option<TrafficReport> {
+    let mut attempt = 0u32;
+    loop {
+        match obs.deliver_prepared_report(observer, reporter, suspect, answer, attempt) {
+            ReportDelivery::Fresh(r) => {
+                obs.note_report_outcome(ReportOutcome::Fresh);
+                return Some(r);
+            }
+            ReportDelivery::Refused => {
+                obs.note_report_outcome(ReportOutcome::Refused);
+                return None;
+            }
+            ReportDelivery::Faulted => {
+                if attempt < cfg.max_report_retries {
+                    attempt += 1;
+                    *retry_msgs += 1;
+                    obs.note_retries(1);
+                    continue;
+                }
+                if let Some((r, sent_at)) = obs.stale_report(observer, reporter, suspect) {
+                    if obs.tick.saturating_sub(sent_at) <= cfg.report_timeout_ticks {
+                        obs.note_report_outcome(ReportOutcome::Stale);
+                        return Some(r);
+                    }
+                }
+                obs.note_report_outcome(ReportOutcome::AssumedZero);
+                return None;
+            }
+        }
+    }
 }
 
-/// Everything one worker produced: partition-local actions and traces (in
+/// A side effect on suspect-keyed shared state, recorded by
+/// [`judge_partition`] in its partition's serial order and replayed by
+/// [`DdPolice::merge`]. The replay is the only place `exchanged_stamp` and
+/// the order-sensitive engine metrics are touched by a sharded judgment, so
+/// "first observer pays the suspect's `k(k-1)` charge" resolves the same at
+/// every width. The fast path records one event per judgment, so the fields
+/// stay `u32` (24 bytes an event).
+enum Deferred {
+    /// The suspect's `k`-member Buddy Group exchanged Neighbor_Traffic: the
+    /// first exchange this tick stamps the suspect and pays `k(k-1)` —
+    /// nothing for an own-counters-only judgment (`k = 1`).
+    Exchange { suspect: u32, k: u32 },
+    /// A shared-cache judgment: [`Exchange`](Self::Exchange), plus the
+    /// snapshot-age quantile feed and the bulk report-outcome tallies that
+    /// the slow path records live.
+    Shared { suspect: u32, age: Tick, k: u32, fresh: u32, refused: u32 },
+}
+
+/// Everything one partition produced: partition-local actions and traces (in
 /// that partition's serial order) plus the deferred shared-state events.
+#[derive(Default)]
 struct PartitionOutcome {
     actions: Actions,
     trace: Vec<JudgmentTrace>,
     deferred: Vec<Deferred>,
 }
 
-/// Judge one contiguous observer range on a worker thread. Mirrors the fast
-/// path of the serial loop in [`DdPolice::on_tick`] statement for statement;
-/// the only divergences are mechanical: verdict access goes through the
-/// partition's [`VerdictShard`], the suspect cache is worker-local (same
-/// values — entries are pure functions of `(suspect, announcement tick)` on
-/// the frozen tick), and suspect-keyed effects become [`Deferred`] events.
-/// The monitor view is read-only and tick-frozen, so sketch reads need no
-/// shard-locality treatment: every worker sees the identical sketch.
-#[allow(clippy::too_many_arguments)]
-fn judge_partition(
-    range: Range<usize>,
-    mut shard: VerdictShard<'_>,
-    cache: &mut HashMap<u32, SuspectTickCache>,
-    obs: FrozenTick<'_>,
-    exchange: &ExchangeState,
-    cfg: &DdPoliceConfig,
+/// Read-only inputs every partition shares. `Copy` and `Sync`: one value
+/// serves every worker. The monitor view is tick-frozen, so every worker
+/// reads the identical sketch.
+#[derive(Clone, Copy)]
+struct JudgeCtx<'a> {
+    obs: FrozenTick<'a>,
+    exchange: &'a ExchangeState,
+    cfg: &'a DdPoliceConfig,
+    mon: Mon<'a>,
     tracing: bool,
-    mon: Mon<'_>,
-) -> PartitionOutcome {
-    let mut out =
-        PartitionOutcome { actions: Actions::default(), trace: Vec::new(), deferred: Vec::new() };
-    let record = |out: &mut PartitionOutcome, observer, suspect, g, s| {
-        if tracing {
-            out.trace.push(JudgmentTrace { tick: obs.tick, observer, suspect, g, s });
+}
+
+/// How [`judge_partition`] evaluates a suspect whose list snapshot the
+/// observer holds — the one point where the fast and slow paths differ.
+/// Returns `(g, s)`; the suspect's exchange goes to `out.deferred`, retry
+/// messages to `out.actions`.
+trait Evaluate {
+    fn evaluate(
+        &mut self,
+        ctx: &JudgeCtx<'_>,
+        observer: NodeId,
+        suspect: NodeId,
+        snap: &Snapshot,
+        own: TrafficReport,
+        out: &mut PartitionOutcome,
+    ) -> (f64, f64);
+}
+
+/// Fast path: a partition's per-suspect cache. One verification and one
+/// report sum per suspect serve all its observers — entries are pure
+/// functions of `(suspect, announcement tick)` on the frozen tick — and each
+/// observer adjusts the sums for its own membership in O(1).
+impl Evaluate for HashMap<u32, SuspectTickCache> {
+    fn evaluate(
+        &mut self,
+        ctx: &JudgeCtx<'_>,
+        observer: NodeId,
+        suspect: NodeId,
+        snap: &Snapshot,
+        own: TrafficReport,
+        out: &mut PartitionOutcome,
+    ) -> (f64, f64) {
+        let (obs, cfg, mon) = (&ctx.obs, ctx.cfg, ctx.mon);
+        let entry = self.entry(suspect.0).or_default();
+        if entry.stamp != obs.tick || entry.taken_at != snap.taken_at {
+            entry.stamp = obs.tick;
+            entry.taken_at = snap.taken_at;
+            verified_members_into(
+                suspect,
+                &snap.members,
+                obs,
+                cfg.radius,
+                cfg.verify_lists,
+                &mut entry.members,
+            );
+            entry.answers.clear();
+            entry.sum_out = 0.0;
+            entry.sum_in = 0.0;
+            entry.n_answered = 0;
+            entry.n_refused = 0;
+            for &m in &entry.members {
+                let answer = mon.answer(obs, m, suspect);
+                match answer {
+                    Some(r) => {
+                        entry.n_answered += 1;
+                        entry.sum_out += r.received_from_suspect as f64;
+                        entry.sum_in += r.sent_to_suspect as f64;
+                    }
+                    None => entry.n_refused += 1,
+                }
+                entry.answers.push(answer);
+            }
         }
-    };
-    for i in range {
+        // Adjust the shared sums for this observer: it never messages
+        // itself — its ground-truth counters stand in for its own (by
+        // construction identical) report.
+        let own_slot = entry.members.iter().position(|&m| m == observer);
+        let k = entry.members.len() + usize::from(own_slot.is_none());
+        let mut sum_out = own.received_from_suspect as f64 + entry.sum_out;
+        let mut sum_in = own.sent_to_suspect as f64 + entry.sum_in;
+        let mut fresh = entry.n_answered;
+        let mut refused = entry.n_refused;
+        if let Some(own_idx) = own_slot {
+            match entry.answers[own_idx] {
+                Some(r) => {
+                    fresh -= 1;
+                    sum_out -= r.received_from_suspect as f64;
+                    sum_in -= r.sent_to_suspect as f64;
+                }
+                None => refused -= 1,
+            }
+        }
+        out.deferred.push(Deferred::Shared {
+            suspect: suspect.0,
+            age: obs.tick.saturating_sub(snap.taken_at),
+            k: k as u32,
+            fresh,
+            refused,
+        });
+        let g = general_indicator(sum_out, sum_in, k, cfg.q_qpm);
+        let s = single_indicator(
+            own.received_from_suspect as f64,
+            sum_in - own.sent_to_suspect as f64,
+            cfg.q_qpm,
+        );
+        (g, s)
+    }
+}
+
+/// Slow path: assemble the observer's own Buddy Group and resolve every
+/// member's report over the (possibly faulty) transport, with per-link
+/// clamping and robust aggregation. Runs only on the caller's thread — the
+/// fault plane is not `Sync` — so the fault dice, the retry and outcome
+/// notes, and the snapshot-age feed inside [`assemble`] happen live, in
+/// serial order.
+struct FullJudgment<'a, 'o> {
+    obs: &'a TickObservation<'o>,
+    /// See [`DdPolice::report_memo`].
+    memo: &'a mut HashMap<(u32, u32), Option<TrafficReport>>,
+}
+
+impl Evaluate for FullJudgment<'_, '_> {
+    fn evaluate(
+        &mut self,
+        ctx: &JudgeCtx<'_>,
+        observer: NodeId,
+        suspect: NodeId,
+        _snap: &Snapshot,
+        own: TrafficReport,
+        out: &mut PartitionOutcome,
+    ) -> (f64, f64) {
+        let (obs, cfg) = (self.obs, ctx.cfg);
+        let group = assemble(observer, suspect, ctx.exchange, obs, cfg.radius, cfg.verify_lists)
+            .expect("the observer holds a snapshot of the suspect");
+        out.deferred.push(Deferred::Exchange { suspect: suspect.0, k: group.k() as u32 });
+        let mut member_reports = Vec::with_capacity(group.members.len());
+        for &m in &group.members {
+            if m == observer {
+                continue; // own counters are summed directly, no message
+            }
+            let answer = *self
+                .memo
+                .entry((m.0, suspect.0))
+                .or_insert_with(|| ctx.mon.answer(&ctx.obs, m, suspect));
+            let report = resolve_report(
+                cfg,
+                obs,
+                observer,
+                m,
+                suspect,
+                answer,
+                &mut out.actions.control_msgs,
+            )
+            .map(|mut r| {
+                if cfg.clamp_reports_to_link {
+                    // No member can have pushed more into the suspect than
+                    // the physical link allows; impossible claims are capped
+                    // (the collusive-inflation hardening).
+                    r.sent_to_suspect =
+                        r.sent_to_suspect.min(obs.overlay.link_capacity(m, suspect));
+                }
+                r
+            });
+            member_reports.push(report);
+        }
+        let (sum_out, sum_in) = aggregate_group_traffic(own, &member_reports, cfg.aggregation);
+        let g = general_indicator(sum_out, sum_in, group.k(), cfg.q_qpm);
+        let s = single_indicator(
+            own.received_from_suspect as f64,
+            sum_in - own.sent_to_suspect as f64,
+            cfg.q_qpm,
+        );
+        (g, s)
+    }
+}
+
+/// The DD-POLICE judgment for one contiguous observer range: each observer
+/// scans its neighbors against the warning threshold (§3.3), judges every
+/// suspect over it from its Buddy Group, and cuts when either indicator
+/// exceeds `CT` (§3.7.2). Verdict access goes through the partition's
+/// [`VerdictShard`] and suspect-keyed effects become [`Deferred`] events, so
+/// merging partitions in order gives the same result for every partitioning
+/// of the observers.
+fn judge_partition(
+    observers: Range<usize>,
+    shard: &mut VerdictShard<'_>,
+    eval: &mut impl Evaluate,
+    ctx: JudgeCtx<'_>,
+) -> PartitionOutcome {
+    let JudgeCtx { obs, exchange, cfg, mon, tracing } = ctx;
+    let mut out = PartitionOutcome::default();
+    for i in observers {
         if !obs.runs_defense[i] {
             continue;
         }
         let observer = NodeId::from_index(i);
         if cfg.suspect_ttl_ticks != u32::MAX {
+            // Sweep before the lifecycle clocks: a probe about a suspect that
+            // already left must be collected, not fired into a dead slot (the
+            // recycled identity would inherit the probation).
             shard.expire_stale(observer, obs.tick, cfg.suspect_ttl_ticks, obs.online);
         }
         if cfg.readmission.enabled {
+            // Lifecycle clocks first: probations that survived their window
+            // readmit; quarantines whose backoff matured re-dial (one control
+            // message per probe) and enter probation.
             shard.expire_probations(observer, obs.tick, &mut out.actions);
             let before = out.actions.reconnects.len();
             shard.fire_probes(observer, obs.tick, cfg.readmission, &mut out.actions);
             out.actions.control_msgs += (out.actions.reconnects.len() - before) as u64;
         }
-        let neigh = obs.overlay.neighbors(observer);
-        for (slot, &half) in neigh.iter().enumerate() {
+        for (slot, &half) in obs.overlay.neighbors(observer).iter().enumerate() {
             let suspect = half.peer;
+            // In_query(suspect) read through the reciprocal index
+            // (receiver-side, duplicate-filtered) — or the sketch estimate
+            // of the same directed edge.
             let q_ji = mon.flow(&obs, suspect, half.ridx as usize, observer);
             if q_ji <= cfg.warning_threshold_qpm {
                 shard.below_warning(observer, suspect);
                 continue;
             }
+            // Own counters via the slots already in hand (identical to
+            // `obs.own_counters`, minus its two adjacency scans).
             let own = TrafficReport {
                 sent_to_suspect: mon.flow(&obs, observer, slot, suspect),
                 received_from_suspect: q_ji,
             };
-            let Some(snap) = exchange.snapshot(observer, suspect) else {
-                let streak = shard.note_list_missing(observer, suspect);
-                if streak < cfg.missing_list_grace {
-                    continue;
+            let (g, s) = match exchange.snapshot(observer, suspect) {
+                Some(snap) => {
+                    shard.note_list_ok(observer, suspect);
+                    eval.evaluate(&ctx, observer, suspect, snap, own, &mut out)
                 }
-                out.deferred.push(Deferred::Missing { suspect: suspect.0 });
-                let g = general_indicator(
-                    own.received_from_suspect as f64,
-                    own.sent_to_suspect as f64,
-                    1,
-                    cfg.q_qpm,
-                );
-                let s = single_indicator(q_ji as f64, 0.0, cfg.q_qpm);
-                record(&mut out, observer, suspect, g, s);
-                if shard.judged(
-                    observer,
-                    suspect,
-                    is_bad(g, s, cfg.cut_threshold),
-                    obs.tick,
-                    cfg.hysteresis,
-                    cfg.readmission,
-                    &mut out.actions,
-                ) {
-                    out.actions.cut(observer, suspect);
+                None => {
+                    let streak = shard.note_list_missing(observer, suspect);
+                    if streak < cfg.missing_list_grace {
+                        continue; // wait for the first exchange
+                    }
+                    // The suspect never announced a list: judge it from the
+                    // observer's own counters alone. The group is {observer}:
+                    // k = 1, no messages, and every aggregation policy's
+                    // center of the one claim is the claim itself.
+                    out.deferred.push(Deferred::Exchange { suspect: suspect.0, k: 1 });
+                    let g = general_indicator(
+                        own.received_from_suspect as f64,
+                        own.sent_to_suspect as f64,
+                        1,
+                        cfg.q_qpm,
+                    );
+                    (g, single_indicator(q_ji as f64, 0.0, cfg.q_qpm))
                 }
-                continue;
             };
-            let age = obs.tick.saturating_sub(snap.taken_at);
-            shard.note_list_ok(observer, suspect);
-            let entry = cache.entry(suspect.0).or_default();
-            if entry.stamp != obs.tick || entry.taken_at != snap.taken_at {
-                entry.stamp = obs.tick;
-                entry.taken_at = snap.taken_at;
-                verified_members_into(
-                    suspect,
-                    &snap.members,
-                    &obs,
-                    cfg.radius,
-                    cfg.verify_lists,
-                    &mut entry.members,
-                );
-                entry.answers.clear();
-                entry.sum_out = 0.0;
-                entry.sum_in = 0.0;
-                entry.n_answered = 0;
-                entry.n_refused = 0;
-                for &m in &entry.members {
-                    let answer = mon.answer(&obs, m, suspect);
-                    match answer {
-                        Some(r) => {
-                            entry.n_answered += 1;
-                            entry.sum_out += r.received_from_suspect as f64;
-                            entry.sum_in += r.sent_to_suspect as f64;
-                        }
-                        None => entry.n_refused += 1,
-                    }
-                    entry.answers.push(answer);
-                }
+            if tracing {
+                out.trace.push(JudgmentTrace { tick: obs.tick, observer, suspect, g, s });
             }
-            let own_slot = entry.members.iter().position(|&m| m == observer);
-            let in_group = own_slot.is_some();
-            let k = entry.members.len() + usize::from(!in_group);
-            let mut sum_out = own.received_from_suspect as f64 + entry.sum_out;
-            let mut sum_in = own.sent_to_suspect as f64 + entry.sum_in;
-            let mut fresh = entry.n_answered as u64;
-            let mut refused = entry.n_refused as u64;
-            if let Some(own_idx) = own_slot {
-                match entry.answers[own_idx] {
-                    Some(r) => {
-                        fresh -= 1;
-                        sum_out -= r.received_from_suspect as f64;
-                        sum_in -= r.sent_to_suspect as f64;
-                    }
-                    None => refused -= 1,
-                }
-            }
-            out.deferred.push(Deferred::Shared {
-                suspect: suspect.0,
-                age,
-                k: k as u64,
-                fresh,
-                refused,
-            });
-            let g = general_indicator(sum_out, sum_in, k, cfg.q_qpm);
-            let s = single_indicator(q_ji as f64, sum_in - own.sent_to_suspect as f64, cfg.q_qpm);
-            record(&mut out, observer, suspect, g, s);
             if shard.judged(
                 observer,
                 suspect,
@@ -742,10 +758,10 @@ impl Defense for DdPolice {
             self.exchange.on_tick_with_threads(self.cfg.exchange, obs, self.threads);
 
         // Sketch backend: replay the frozen counters into this tick's window
-        // before any judgment (serial or parallel) reads an estimate.
+        // before any judgment reads an estimate.
         self.sketch_ingest(obs);
-        // Taken out so the judgment loops can hold a read view of it while
-        // mutating the rest of `self`; restored at every return point.
+        // Taken out so the judgment can hold a read view of it while
+        // mutating the rest of `self`; restored below.
         let monitor = self.monitor.take();
         let mon = match &monitor {
             Some(m) => Mon::Sketch(m),
@@ -756,14 +772,6 @@ impl Defense for DdPolice {
         if self.exchanged_stamp.len() < n {
             self.exchanged_stamp.resize(n, 0);
         }
-        // Counters are frozen for the whole tick, so reporter answers cached
-        // by the previous observer stay valid for the next one.
-        let mut memo = std::mem::take(&mut self.report_memo);
-        memo.clear();
-        let mut cache = std::mem::take(&mut self.suspect_cache);
-        if cache.len() < n {
-            cache.resize(n, SuspectTickCache::default());
-        }
         // The shared-judgment fast path is exact only when every observer of
         // a suspect computes the same per-member terms: reliable transport
         // (no per-observer fault dice), plain summation (integer-valued f64
@@ -772,225 +780,72 @@ impl Defense for DdPolice {
             || (self.cfg.aggregation == AggregationPolicy::Sum
                 && !self.cfg.clamp_reports_to_link
                 && obs.faults.is_none_or(|f| f.config().is_inert()));
-        // The slow path stays serial at any width: its per-observer fault
-        // dice and retry loops are inherently order-coupled.
+        // Contiguous ascending observer ranges, balanced by degree: merging
+        // their outcomes in order is the ascending observer loop. The slow
+        // path is one whole range at any width — its fault dice and retry
+        // loops are order-coupled. The last bound is the verdict slot count:
+        // slots past the overlay (a machine sized for more peers) ride in
+        // the last partition with no observers.
+        let threads = if fast { self.threads } else { 1 };
+        let mut bounds = if threads > 1 {
+            Partition::by_degree(obs.overlay.graph(), threads).boundaries().to_vec()
+        } else {
+            vec![0, n]
+        };
         self.verdicts.ensure_slots(n);
-        if fast && self.threads > 1 && n > 1 && self.verdicts.slot_count() == n {
-            self.parallel_fast_tick(obs, mon, actions);
+        *bounds.last_mut().expect("a partition has an end") = self.verdicts.slot_count();
+        let observers = |p: usize| bounds[p]..bounds[p + 1].min(n);
+        let ctx = JudgeCtx {
+            obs: obs.frozen(),
+            exchange: &self.exchange,
+            cfg: &self.cfg,
+            mon,
+            tracing: self.trace.is_some(),
+        };
+        let mut outcomes = if fast {
+            let parts = bounds.len() - 1;
+            if self.suspect_caches.len() < parts {
+                self.suspect_caches.resize_with(parts, HashMap::new);
+            }
+            let caches = &mut self.suspect_caches;
+            self.verdicts.with_shards(&bounds, |shards| {
+                let mut work: Vec<_> = shards
+                    .into_iter()
+                    .zip(caches.iter_mut())
+                    .enumerate()
+                    .map(|(p, (shard, cache))| (observers(p), shard, cache))
+                    .collect();
+                let items: Vec<usize> = (0..=parts).collect();
+                pool::run_chunked(threads, &mut work, &items, |_, chunk| {
+                    chunk
+                        .iter_mut()
+                        .map(|(range, shard, cache)| {
+                            judge_partition(range.clone(), shard, &mut **cache, ctx)
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .into_iter()
+                .flatten()
+                .collect()
+            })
+        } else {
+            // Counters are frozen for the whole tick, so reporter answers
+            // cached by one observer stay valid for the next.
+            let mut memo = std::mem::take(&mut self.report_memo);
+            memo.clear();
+            let out = self.verdicts.with_shards(&bounds, |mut shards| {
+                let mut full = FullJudgment { obs, memo: &mut memo };
+                judge_partition(observers(0), &mut shards[0], &mut full, ctx)
+            });
             self.report_memo = memo;
-            self.suspect_cache = cache;
-            self.monitor = monitor;
-            return;
+            vec![out]
+        };
+        if self.unordered_reduction {
+            // Sabotage (see `set_unordered_reduction`): a reversed merge is
+            // what a racy unordered reduction would produce.
+            outcomes.reverse();
         }
-        for i in 0..n {
-            if !obs.runs_defense[i] {
-                continue;
-            }
-            let observer = NodeId::from_index(i);
-            if self.cfg.suspect_ttl_ticks != u32::MAX {
-                // Sweep before the lifecycle clocks: a probe about a suspect
-                // that already left must be collected, not fired into a dead
-                // slot (the recycled identity would inherit the probation).
-                self.verdicts.expire_stale(
-                    observer,
-                    obs.tick,
-                    self.cfg.suspect_ttl_ticks,
-                    obs.online,
-                );
-            }
-            if self.cfg.readmission.enabled {
-                // Lifecycle clocks first: probations that survived their
-                // window readmit; quarantines whose backoff matured re-dial
-                // (one control message per probe) and enter probation.
-                self.verdicts.expire_probations(observer, obs.tick, actions);
-                let before = actions.reconnects.len();
-                self.verdicts.fire_probes(observer, obs.tick, self.cfg.readmission, actions);
-                actions.control_msgs += (actions.reconnects.len() - before) as u64;
-            }
-            // One adjacency fetch per observer; the slot loop below never
-            // mutates the overlay.
-            let neigh = obs.overlay.neighbors(observer);
-            for (slot, &half) in neigh.iter().enumerate() {
-                let suspect = half.peer;
-                // In_query(suspect) read through the reciprocal index
-                // (receiver-side, duplicate-filtered) — or the sketch
-                // estimate of the same directed edge.
-                let q_ji = mon.flow(&obs.frozen(), suspect, half.ridx as usize, observer);
-                if q_ji <= self.cfg.warning_threshold_qpm {
-                    self.verdicts.below_warning(observer, suspect);
-                    continue;
-                }
-                if fast {
-                    // Own counters via the slots already in hand (identical
-                    // to `obs.own_counters`, minus its two adjacency scans).
-                    let own = TrafficReport {
-                        sent_to_suspect: mon.flow(&obs.frozen(), observer, slot, suspect),
-                        received_from_suspect: q_ji,
-                    };
-                    let Some(snap) = self.exchange.snapshot(observer, suspect) else {
-                        let streak = self.verdicts.note_list_missing(observer, suspect);
-                        if streak < self.cfg.missing_list_grace {
-                            continue; // wait for the first exchange
-                        }
-                        // Own-counters-only judgment of a silent suspect:
-                        // the group is {observer}, no messages, k = 1.
-                        self.exchanged_stamp[suspect.index()] = obs.tick;
-                        let g = general_indicator(
-                            own.received_from_suspect as f64,
-                            own.sent_to_suspect as f64,
-                            1,
-                            self.cfg.q_qpm,
-                        );
-                        let s = single_indicator(q_ji as f64, 0.0, self.cfg.q_qpm);
-                        self.record_trace(obs.tick, observer, suspect, g, s);
-                        if self.verdicts.judged(
-                            observer,
-                            suspect,
-                            is_bad(g, s, self.cfg.cut_threshold),
-                            obs.tick,
-                            self.cfg.hysteresis,
-                            self.cfg.readmission,
-                            actions,
-                        ) {
-                            actions.cut(observer, suspect);
-                        }
-                        continue;
-                    };
-                    obs.note_snapshot_age(obs.tick.saturating_sub(snap.taken_at));
-                    self.verdicts.note_list_ok(observer, suspect);
-                    let entry = &mut cache[suspect.index()];
-                    if entry.stamp != obs.tick || entry.taken_at != snap.taken_at {
-                        entry.stamp = obs.tick;
-                        entry.taken_at = snap.taken_at;
-                        verified_members_into(
-                            suspect,
-                            &snap.members,
-                            &obs.frozen(),
-                            self.cfg.radius,
-                            self.cfg.verify_lists,
-                            &mut entry.members,
-                        );
-                        entry.answers.clear();
-                        entry.sum_out = 0.0;
-                        entry.sum_in = 0.0;
-                        entry.n_answered = 0;
-                        entry.n_refused = 0;
-                        for &m in &entry.members {
-                            let answer = mon.answer(&obs.frozen(), m, suspect);
-                            match answer {
-                                Some(r) => {
-                                    entry.n_answered += 1;
-                                    entry.sum_out += r.received_from_suspect as f64;
-                                    entry.sum_in += r.sent_to_suspect as f64;
-                                }
-                                None => entry.n_refused += 1,
-                            }
-                            entry.answers.push(answer);
-                        }
-                    }
-                    // Adjust the shared sums for this observer: it never
-                    // messages itself — its ground-truth counters stand in
-                    // for its own (by construction identical) report.
-                    let own_slot = entry.members.iter().position(|&m| m == observer);
-                    let in_group = own_slot.is_some();
-                    let k = entry.members.len() + usize::from(!in_group);
-                    if self.exchanged_stamp[suspect.index()] != obs.tick {
-                        self.exchanged_stamp[suspect.index()] = obs.tick;
-                        let ku = k as u64;
-                        actions.control_msgs += ku * ku.saturating_sub(1);
-                    }
-                    let mut sum_out = own.received_from_suspect as f64 + entry.sum_out;
-                    let mut sum_in = own.sent_to_suspect as f64 + entry.sum_in;
-                    let mut fresh = entry.n_answered as u64;
-                    let mut refused = entry.n_refused as u64;
-                    if let Some(slot) = own_slot {
-                        match entry.answers[slot] {
-                            Some(r) => {
-                                fresh -= 1;
-                                sum_out -= r.received_from_suspect as f64;
-                                sum_in -= r.sent_to_suspect as f64;
-                            }
-                            None => refused -= 1,
-                        }
-                    }
-                    obs.note_report_outcomes(ReportOutcome::Fresh, fresh);
-                    obs.note_report_outcomes(ReportOutcome::Refused, refused);
-                    let g = general_indicator(sum_out, sum_in, k, self.cfg.q_qpm);
-                    let s = single_indicator(
-                        q_ji as f64,
-                        sum_in - own.sent_to_suspect as f64,
-                        self.cfg.q_qpm,
-                    );
-                    self.record_trace(obs.tick, observer, suspect, g, s);
-                    if self.verdicts.judged(
-                        observer,
-                        suspect,
-                        is_bad(g, s, self.cfg.cut_threshold),
-                        obs.tick,
-                        self.cfg.hysteresis,
-                        self.cfg.readmission,
-                        actions,
-                    ) {
-                        actions.cut(observer, suspect);
-                    }
-                    continue;
-                }
-                // Suspicious: assemble the Buddy Group.
-                let group = match assemble(
-                    observer,
-                    suspect,
-                    &self.exchange,
-                    obs,
-                    self.cfg.radius,
-                    self.cfg.verify_lists,
-                ) {
-                    Some(bg) => {
-                        self.verdicts.note_list_ok(observer, suspect);
-                        bg
-                    }
-                    None => {
-                        let streak = self.verdicts.note_list_missing(observer, suspect);
-                        if streak < self.cfg.missing_list_grace {
-                            continue; // wait for the first exchange
-                        }
-                        // The suspect never announced a list: judge it from
-                        // the observer's own counters alone.
-                        BuddyGroup { suspect, members: vec![observer] }
-                    }
-                };
-                // Neighbor_Traffic exchange: k(k-1) messages, once per
-                // suspect per tick across all its observers (suppression).
-                if self.exchanged_stamp[suspect.index()] != obs.tick {
-                    self.exchanged_stamp[suspect.index()] = obs.tick;
-                    let k = group.k() as u64;
-                    actions.control_msgs += k * k.saturating_sub(1);
-                }
-                // Own counters via the slots already in hand (identical to
-                // `obs.own_counters`, minus its two adjacency scans).
-                let own = TrafficReport {
-                    sent_to_suspect: mon.flow(&obs.frozen(), observer, slot, suspect),
-                    received_from_suspect: q_ji,
-                };
-                let (g, s, retry_msgs) =
-                    self.judge(observer, &group, own, q_ji, obs, mon, &mut memo);
-                actions.control_msgs += retry_msgs;
-                self.record_trace(obs.tick, observer, suspect, g, s);
-                let over_ct = is_bad(g, s, self.cfg.cut_threshold);
-                if self.verdicts.judged(
-                    observer,
-                    suspect,
-                    over_ct,
-                    obs.tick,
-                    self.cfg.hysteresis,
-                    self.cfg.readmission,
-                    actions,
-                ) {
-                    actions.cut(observer, suspect);
-                }
-            }
-        }
-        self.report_memo = memo;
-        self.suspect_cache = cache;
+        self.merge(outcomes, obs, actions);
         self.monitor = monitor;
     }
 
@@ -1028,9 +883,6 @@ impl Defense for DdPolice {
         self.verdicts.ensure_slots(n);
         if self.exchanged_stamp.len() < n {
             self.exchanged_stamp.resize(n, 0);
-        }
-        if self.suspect_cache.len() < n {
-            self.suspect_cache.resize(n, SuspectTickCache::default());
         }
     }
 
@@ -1075,7 +927,7 @@ impl Defense for DdPolice {
         if let Some(m) = &self.monitor {
             ddp_snapshot::Snapshottable::save(m, enc);
         }
-        // Deliberately absent: `report_memo` and `suspect_cache` are per-tick
+        // Deliberately absent: `report_memo` and `suspect_caches` are per-tick
         // memos rebuilt from scratch at the top of `on_tick` (stamp != tick),
         // `trace` contents are drained each tick by the harness — at a tick
         // boundary both are empty/stale by construction — and `sketch_stats`
@@ -1100,12 +952,10 @@ impl Defense for DdPolice {
         if let Some(m) = self.monitor.as_mut() {
             m.restore_into(dec)?;
         }
-        let n = self.exchange.len().max(self.exchanged_stamp.len());
         self.report_memo = HashMap::new();
-        self.suspect_cache = vec![SuspectTickCache::default(); n];
         // Per-tick memos from the pre-restore timeline would carry stamps
         // that can collide with the resumed tick counter: drop them.
-        self.worker_caches.clear();
+        self.suspect_caches.clear();
         Ok(())
     }
 }
@@ -1360,6 +1210,33 @@ mod tests {
             assert_eq!(serial.2.series, res.series, "series diverged at threads={threads}");
             assert_eq!(serial.2.summary, res.summary);
             assert_eq!(serial.2.cut_log, res.cut_log);
+        }
+    }
+
+    #[test]
+    fn verdict_slots_past_the_overlay_shard_like_width_one() {
+        // A machine sized for more peers than the overlay holds: the extra
+        // observer-free slots ride in the last partition at every width.
+        let run = |threads: usize| {
+            let mut sim = Simulation::new(cfg(200), DdPolice::new(lifecycle_cfg(), 260), 42);
+            for a in [5u32, 77, 123] {
+                sim.make_attacker(NodeId(a), ReportBehavior::Honest);
+            }
+            sim.defense_mut().set_tracing(true);
+            sim.enable_hash_trace();
+            sim.set_threads(threads);
+            let mut traces = Vec::new();
+            for _ in 0..8 {
+                sim.step();
+                traces.push(sim.defense_mut().take_trace());
+            }
+            assert_eq!(sim.defense().verdicts().slot_count(), 260);
+            (sim.hash_trace().to_vec(), traces, sim.finish().cut_log)
+        };
+        let serial = run(1);
+        assert!(!serial.2.is_empty(), "the run must cut someone");
+        for threads in [2usize, 4] {
+            assert_eq!(serial, run(threads), "diverged at threads={threads}");
         }
     }
 

@@ -456,7 +456,7 @@ impl VerdictMachine {
     }
 
     /// Number of observer slots currently allocated — the value
-    /// [`shards`](Self::shards) requires the final bound to equal.
+    /// [`with_shards`](Self::with_shards) requires the final bound to equal.
     pub fn slot_count(&self) -> usize {
         self.entries.len()
     }

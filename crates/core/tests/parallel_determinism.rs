@@ -32,8 +32,10 @@ fn full_matrix_is_thread_invariant() {
 
 #[test]
 fn thread_count_one_is_the_serial_engine() {
-    // Width 1 must take the serial path bit for bit — no partitioning
-    // overhead is allowed to leak into observable state.
+    // Width 1 runs the same judgment loop as every other width, as one
+    // whole-range partition; two width-1 twins must agree bit for bit, so
+    // nothing outside the seeded streams (hash-iteration order, allocation
+    // reuse) may leak into observable state.
     for (label, spec) in scenario_matrix() {
         if let Err(d) = run_parallel_lockstep(&spec, 1, false) {
             panic!("{label}: width-1 twin diverged: {d}");

@@ -39,7 +39,7 @@ pub fn fuzz(opts: &ExpOptions) -> Table {
         .par_iter()
         .map(|&fuzz_seed| {
             let spec = ScenarioSpec::random(fuzz_seed);
-            let outcome = run_lockstep(&spec);
+            let outcome = run_lockstep(&spec, 1);
             (fuzz_seed, spec, outcome)
         })
         .collect();
@@ -157,7 +157,7 @@ mod tests {
         let opts = ExpOptions { smoke: true, ..ExpOptions::default() };
         for fuzz_seed in fuzz_seed_range(&opts).take(5) {
             let spec = ScenarioSpec::random(fuzz_seed);
-            if let Err(d) = run_lockstep(&spec) {
+            if let Err(d) = run_lockstep(&spec, 1) {
                 panic!("fuzz seed {fuzz_seed} diverged at {d}\nspec:\n{}", spec.to_json());
             }
         }

@@ -1,14 +1,12 @@
-//! Determinism observability: per-tick state-hash series and thread-scaling
-//! counters for the parallel tick engine.
+//! Determinism observability: per-tick state-hash series for the parallel
+//! tick engine.
 //!
 //! The parallel engine's contract is *byte identity*: a run at any worker
 //! count must march through exactly the same engine states as the serial
 //! run. [`HashSeries`] is the witness — one 64-bit FNV digest of the full
 //! snapshot payload per tick — cheap enough to record on every differential
 //! run and precise enough that the first diverging tick pinpoints where a
-//! reduction-order bug bit. [`ParallelStats`] counts what the worker pool
-//! actually did, so scaling experiments can report shard counts next to
-//! wall-clock numbers.
+//! reduction-order bug bit.
 
 use ddp_snapshot::fnv1a64;
 
@@ -70,33 +68,6 @@ impl HashSeries {
     }
 }
 
-/// What the parallel tick engine's worker pool actually did during a run.
-/// Pure observability: never serialized into snapshots, never part of the
-/// state hash — a 1-thread and an 8-thread run differ here by design.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParallelStats {
-    /// Worker-pool width the engine was configured with.
-    pub threads: usize,
-    /// Ticks whose defense/accounting work ran through the sharded path.
-    pub parallel_ticks: u64,
-    /// Ticks that ran fully inline (threads <= 1, or work too small).
-    pub serial_ticks: u64,
-    /// Total partition-shards executed across all parallel ticks.
-    pub shards_run: u64,
-}
-
-impl ParallelStats {
-    /// Account one tick: `shards == 0` means the tick ran inline.
-    pub fn record_tick(&mut self, shards: usize) {
-        if shards == 0 {
-            self.serial_ticks += 1;
-        } else {
-            self.parallel_ticks += 1;
-            self.shards_run += shards as u64;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,16 +104,5 @@ mod tests {
         b.record(1);
         assert_ne!(a.digest(), b.digest());
         assert_eq!(a.digest(), a.clone().digest());
-    }
-
-    #[test]
-    fn parallel_stats_split_serial_from_sharded_ticks() {
-        let mut s = ParallelStats { threads: 4, ..ParallelStats::default() };
-        s.record_tick(0);
-        s.record_tick(4);
-        s.record_tick(4);
-        assert_eq!(s.serial_ticks, 1);
-        assert_eq!(s.parallel_ticks, 2);
-        assert_eq!(s.shards_run, 8);
     }
 }

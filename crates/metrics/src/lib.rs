@@ -35,7 +35,7 @@ pub mod verdict;
 pub use alloc::CountingAlloc;
 pub use conn::ConnCounters;
 pub use damage::damage_rate;
-pub use determinism::{HashSeries, ParallelStats};
+pub use determinism::HashSeries;
 pub use errors::DetectionErrors;
 pub use histogram::Histogram;
 pub use jsonio::{json_array, json_escape, json_f64, JsonObj};

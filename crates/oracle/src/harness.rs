@@ -69,13 +69,28 @@ fn edge_set<D: ddp_sim::Defense>(sim: &Simulation<D>) -> Vec<(u32, u32)> {
     edges
 }
 
-/// Run `spec` on the engine and the oracle in lockstep, comparing all
-/// observable defense state after every tick. `Err` carries the first
-/// divergence found.
-pub fn run_lockstep(spec: &ScenarioSpec) -> Result<LockstepStats, Divergence> {
+/// Run `spec` on the engine, sharded over `threads` workers, and the oracle
+/// in lockstep, comparing all observable defense state after every tick.
+/// `Err` carries the first divergence found. The oracle is serial and
+/// shares no code with the engine's judgment loop, so at `threads > 1` this
+/// is an independent reference for the sharded path.
+pub fn run_lockstep(spec: &ScenarioSpec, threads: usize) -> Result<LockstepStats, Divergence> {
+    run_lockstep_with(spec, threads, |_| {})
+}
+
+/// [`run_lockstep`] with `configure` applied to the engine's defense before
+/// the first tick — the hook a mutation check uses to plant a bug (for
+/// example `DdPolice::set_unordered_reduction`).
+pub fn run_lockstep_with(
+    spec: &ScenarioSpec,
+    threads: usize,
+    configure: impl FnOnce(&mut DdPolice),
+) -> Result<LockstepStats, Divergence> {
     let mut engine = spec.instantiate(DdPolice::new(spec.police_config(), spec.peers));
     engine.defense_mut().set_tracing(true);
     engine.defense_mut().set_force_fast_path(spec.force_fast_path);
+    engine.set_threads(threads);
+    configure(engine.defense_mut());
     let mut oracle = spec.instantiate(OracleDdPolice::new(spec.police_config()));
 
     let mut stats = LockstepStats::default();
@@ -378,7 +393,7 @@ mod tests {
     #[test]
     fn default_scenario_runs_clean() {
         let spec = ScenarioSpec::default();
-        let stats = run_lockstep(&spec).unwrap_or_else(|d| panic!("diverged: {d}"));
+        let stats = run_lockstep(&spec, 1).unwrap_or_else(|d| panic!("diverged: {d}"));
         assert_eq!(stats.ticks, spec.ticks);
         assert!(stats.judgments > 0, "a flooded overlay must produce judgments");
     }
@@ -413,7 +428,7 @@ mod tests {
         let spec = adversarial_spec();
         // The reference run must be clean before the restore variant means
         // anything.
-        run_lockstep(&spec).unwrap_or_else(|d| panic!("reference diverged: {d}"));
+        run_lockstep(&spec, 1).unwrap_or_else(|d| panic!("reference diverged: {d}"));
         // Adversarially chosen boundary: tick 5 sits after the first cuts
         // and whitewash dwells begin but before readmission probes fire, so
         // every clock is mid-flight. Sweep a few neighbors of it too.

@@ -25,7 +25,8 @@ pub mod shrink;
 pub mod spec;
 
 pub use harness::{
-    run_lockstep, run_lockstep_with_restore, run_parallel_lockstep, Divergence, LockstepStats,
+    run_lockstep, run_lockstep_with, run_lockstep_with_restore, run_parallel_lockstep, Divergence,
+    LockstepStats,
 };
 pub use model::OracleDdPolice;
 pub use shrink::{shrink, ShrunkRepro};

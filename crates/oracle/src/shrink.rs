@@ -81,7 +81,7 @@ pub fn shrink(spec: &ScenarioSpec, max_runs: usize) -> Option<ShrunkRepro> {
     let mut runs = 0usize;
     fn rerun(candidate: &ScenarioSpec, runs: &mut usize) -> Option<crate::harness::Divergence> {
         *runs += 1;
-        run_lockstep(candidate).err()
+        run_lockstep(candidate, 1).err()
     }
 
     let mut divergence = rerun(spec, &mut runs)?;

@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use ddp_police::indicator::{general_indicator, is_bad, single_indicator};
-use ddp_police::{DdPoliceConfig, MonitorBackend};
+use ddp_police::{group_traffic_sums, DdPoliceConfig, MonitorBackend, TrafficReport};
 use ddp_protocol::routing::Offer;
 use ddp_protocol::{
     decode_message, encode_message, Bye, Guid, Message, NeighborList, NeighborTraffic, Payload,
@@ -472,19 +472,23 @@ impl Servent {
             // Assemble the sums: own counters plus reports; missing => 0.
             // Q_{me→j} uses the suspect's receipt (its fresh-In from us);
             // a suspect that issues no receipts forfeits the discount.
-            let mut sum_out_of_suspect = link.in_prev as f64; // Q_{j→me}
-            let mut sum_into_suspect = link.receipt_prev as f64; // Q_{me→j}
-            let mut k = 1usize;
-            for &m in &inv.members {
-                if m == self.id {
-                    continue;
-                }
-                k += 1;
-                if let Some(&(m_to_j, j_to_m)) = inv.reports.get(&m.0) {
-                    sum_into_suspect += m_to_j as f64;
-                    sum_out_of_suspect += j_to_m as f64;
-                }
-            }
+            let own = TrafficReport {
+                sent_to_suspect: link.receipt_prev,
+                received_from_suspect: link.in_prev,
+            };
+            let reports: Vec<Option<TrafficReport>> = inv
+                .members
+                .iter()
+                .filter(|&&m| m != self.id)
+                .map(|m| {
+                    inv.reports.get(&m.0).map(|&(m_to_j, j_to_m)| TrafficReport {
+                        sent_to_suspect: m_to_j,
+                        received_from_suspect: j_to_m,
+                    })
+                })
+                .collect();
+            let k = 1 + reports.len();
+            let (sum_out_of_suspect, sum_into_suspect) = group_traffic_sums(own, &reports);
             let q = self.cfg.police.q_qpm;
             let g = general_indicator(sum_out_of_suspect, sum_into_suspect, k, q);
             let s = single_indicator(

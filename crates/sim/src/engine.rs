@@ -10,8 +10,8 @@ use crate::session::{sample_poisson, SessionStats, WhitewashConfig, WhitewashRec
 use crate::Tick;
 use ddp_metrics::summary::{RunSeries, RunSummary};
 use ddp_metrics::{
-    DetectionErrors, HashSeries, P2Quantile, ParallelStats, ResponseStats, SuccessStats,
-    TrafficAccumulator, VerdictLedger, VerdictTransition,
+    DetectionErrors, HashSeries, P2Quantile, ResponseStats, SuccessStats, TrafficAccumulator,
+    VerdictLedger, VerdictTransition,
 };
 use ddp_snapshot::{Dec, Enc, SnapshotError, Snapshottable};
 use ddp_topology::{DynamicGraph, Half, NodeId, Partition};
@@ -136,8 +136,6 @@ pub struct Simulation<D: Defense> {
     /// Per-tick state-hash trace, recorded only when enabled (differential
     /// suites turn it on; production runs skip the per-tick serialization).
     hash_trace: Option<HashSeries>,
-    /// What the worker pool did this run (observability only).
-    parallel_stats: ParallelStats,
 }
 
 /// Draw one good peer's processing capacity (mean x uniform spread).
@@ -223,7 +221,6 @@ impl<D: Defense> Simulation<D> {
             whitewash_log: Vec::new(),
             threads: 1,
             hash_trace: None,
-            parallel_stats: ParallelStats { threads: 1, ..ParallelStats::default() },
         }
     }
 
@@ -234,7 +231,6 @@ impl<D: Defense> Simulation<D> {
     /// pinned by the serial-vs-parallel differential suite.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-        self.parallel_stats.threads = self.threads;
         self.defense.set_parallelism(self.threads);
     }
 
@@ -262,11 +258,6 @@ impl<D: Defense> Simulation<D> {
     /// (Self::enable_hash_trace), empty when tracing is off.
     pub fn hash_trace(&self) -> &[u64] {
         self.hash_trace.as_ref().map_or(&[], |t| t.as_slice())
-    }
-
-    /// Worker-pool accounting for this run (never part of engine state).
-    pub fn parallel_stats(&self) -> ParallelStats {
-        self.parallel_stats
     }
 
     /// Turn `node` into a DDoS agent with the configured rate.
@@ -977,8 +968,6 @@ impl<D: Defense> Simulation<D> {
     fn update_utilization(&mut self) {
         let n = self.nodes.len();
         let part = Partition::even(n, self.threads);
-        let shards = if self.threads > 1 && n > 1 { part.parts() } else { 0 };
-        self.parallel_stats.record_tick(shards);
         let (node_used, capacity) = (&self.node_used, &self.capacity);
         crate::pool::run_chunked(
             self.threads,

@@ -1,12 +1,15 @@
 //! Scoped worker pool for the deterministic parallel tick engine.
 //!
-//! One primitive, [`run_partitioned`]: fan a fixed list of independent work
-//! items (partitions of the peer range) over `threads` scoped OS threads and
-//! return the results **in item order**, regardless of which worker computed
-//! what or when it finished. Determinism never rests on scheduling: workers
-//! claim items from a shared atomic counter (the only synchronization
-//! besides the scope join), tag every result with its item index, and the
-//! caller-visible output is re-assembled by tag.
+//! Two primitives, and the only place in the workspace that opens a thread
+//! scope. [`run_partitioned`] fans a fixed list of independent work items
+//! (partitions of the peer range) over `threads` scoped OS threads and
+//! returns the results **in item order**, regardless of which worker
+//! computed what or when it finished. Determinism never rests on
+//! scheduling: workers claim items from a shared atomic counter (the only
+//! synchronization besides the scope join), tag every result with its item
+//! index, and the caller-visible output is re-assembled by tag.
+//! [`run_chunked`] hands disjoint mutable chunks of one slice to one worker
+//! each and returns their results in chunk order.
 //!
 //! The pool is spun up per parallel region rather than kept alive across
 //! ticks: `std::thread::scope` lets workers borrow the tick's frozen state

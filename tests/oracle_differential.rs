@@ -13,7 +13,7 @@ use ddpolice::oracle::{run_lockstep, ScenarioSpec};
 fn engine_matches_oracle_on_seeded_scenarios() {
     for fuzz_seed in 100..115 {
         let spec = ScenarioSpec::random(fuzz_seed);
-        if let Err(d) = run_lockstep(&spec) {
+        if let Err(d) = run_lockstep(&spec, 1) {
             panic!("fuzz seed {fuzz_seed} diverged at {d}\nspec:\n{}", spec.to_json());
         }
     }
@@ -39,7 +39,7 @@ fn committed_reproducers_replay_exactly() {
             "{} lost information in a round trip",
             path.display()
         );
-        let result = run_lockstep(&spec);
+        let result = run_lockstep(&spec, 1);
         if spec.force_fast_path {
             // Mutation-check reproducers are *expected* to diverge: they
             // document that the harness catches a genuinely broken gate.
