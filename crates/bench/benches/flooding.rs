@@ -14,10 +14,19 @@ use std::hint::black_box;
 struct Fixture {
     overlay: Overlay,
     catalog: ContentCatalog,
-    node_used: Vec<u32>,
-    capacity: Vec<u32>,
-    online: Vec<bool>,
     prev_util: Vec<f32>,
+}
+
+/// A flood engine for the fixture: every node online with capacity 1000.
+fn engine(fx: &Fixture) -> FloodEngine {
+    let n = fx.overlay.node_count();
+    let mut fe = FloodEngine::new(n);
+    for i in 0..n {
+        let v = NodeId::from_index(i);
+        fe.set_node(v, true, 1_000, BandwidthClass::Ethernet);
+        fe.refresh_signature(v, &fx.catalog);
+    }
+    fe
 }
 
 fn fixture(n: usize) -> Fixture {
@@ -26,22 +35,12 @@ fn fixture(n: usize) -> Fixture {
     let overlay = Overlay::new(graph, &vec![BandwidthClass::Ethernet; n]);
     let catalog =
         ContentCatalog::generate(n, &ContentConfig::default(), &mut StdRng::seed_from_u64(2));
-    Fixture {
-        overlay,
-        catalog,
-        node_used: vec![0; n],
-        capacity: vec![1_000; n],
-        online: vec![true; n],
-        prev_util: vec![0.0; n],
-    }
+    Fixture { overlay, catalog, prev_util: vec![0.0; n] }
 }
 
 fn run_flood(fx: &mut Fixture, fe: &mut FloodEngine, origin: u32, count: u32, tracked: bool) {
     let mut traffic = TrafficAccumulator::default();
     let mut env = FloodEnv {
-        node_used: &mut fx.node_used,
-        capacity: &fx.capacity,
-        online: &fx.online,
         prev_util: &fx.prev_util,
         traffic: &mut traffic,
         policy: ForwardingPolicy::Fifo,
@@ -62,11 +61,11 @@ fn run_flood(fx: &mut Fixture, fe: &mut FloodEngine, origin: u32, count: u32, tr
 
 fn bench_single_query(c: &mut Criterion) {
     let mut fx = fixture(2_000);
-    let mut fe = FloodEngine::new(2_000);
+    let mut fe = engine(&fx);
     c.bench_function("flood_one_tracked_query_2000", |b| {
         b.iter(|| {
             fx.overlay.reset_tick_counters();
-            fx.node_used.fill(0);
+            fe.clear_used();
             run_flood(&mut fx, &mut fe, 17, 1, true);
         })
     });
@@ -74,11 +73,11 @@ fn bench_single_query(c: &mut Criterion) {
 
 fn bench_attack_batch(c: &mut Criterion) {
     let mut fx = fixture(2_000);
-    let mut fe = FloodEngine::new(2_000);
+    let mut fe = engine(&fx);
     c.bench_function("flood_attack_batch_20k_2000", |b| {
         b.iter(|| {
             fx.overlay.reset_tick_counters();
-            fx.node_used.fill(0);
+            fe.clear_used();
             run_flood(&mut fx, &mut fe, 17, 20_000, false);
         })
     });
@@ -87,11 +86,11 @@ fn bench_attack_batch(c: &mut Criterion) {
 fn bench_saturated_tick_worth(c: &mut Criterion) {
     // 600 tracked queries — one tick's good workload on 2,000 peers.
     let mut fx = fixture(2_000);
-    let mut fe = FloodEngine::new(2_000);
+    let mut fe = engine(&fx);
     c.bench_function("flood_600_queries_one_tick_2000", |b| {
         b.iter(|| {
             fx.overlay.reset_tick_counters();
-            fx.node_used.fill(0);
+            fe.clear_used();
             for q in 0..600u32 {
                 run_flood(&mut fx, &mut fe, (q * 3) % 2_000, 1, true);
             }
@@ -107,17 +106,14 @@ fn bench_fair_share_overhead(c: &mut Criterion) {
     {
         grp.bench_function(name, |b| {
             let mut fx = fixture(1_000);
-            let mut fe = FloodEngine::new(1_000);
+            let mut fe = engine(&fx);
             b.iter_batched(
                 || (),
                 |()| {
                     fx.overlay.reset_tick_counters();
-                    fx.node_used.fill(0);
+                    fe.clear_used();
                     let mut traffic = TrafficAccumulator::default();
                     let mut env = FloodEnv {
-                        node_used: &mut fx.node_used,
-                        capacity: &fx.capacity,
-                        online: &fx.online,
                         prev_util: &fx.prev_util,
                         traffic: &mut traffic,
                         policy,

@@ -1,5 +1,7 @@
-//! Microbenches for the three hottest tick-engine kernels: flood propagation,
-//! the DD-POLICE indicator update, and the neighbor-list exchange.
+//! Microbenches for the three hottest tick-engine kernels: flood propagation
+//! (in cache at 2k peers, and at 100k with catalog probes, where the
+//! per-send cache misses dominate), the DD-POLICE indicator update, and the
+//! neighbor-list exchange.
 //!
 //! These are the kernels the scale refactor targets; `BENCH_scale.json`
 //! tracks the end-to-end ticks/sec, this file tracks the kernels in
@@ -15,9 +17,10 @@ use ddp_sim::{
     Actions, Defense, ForwardingPolicy, ListBehavior, Overlay, ReportBehavior, TickObservation,
 };
 use ddp_topology::{NodeId, TopologyConfig, TopologyModel};
-use ddp_workload::BandwidthClass;
+use ddp_workload::content::ContentConfig;
+use ddp_workload::{BandwidthClass, BandwidthModel, ContentCatalog};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -36,19 +39,16 @@ fn bench_flood_step(c: &mut Criterion) {
     let n = 2000usize;
     let mut overlay = ba_overlay(n, 42);
     let mut engine = FloodEngine::new(n);
-    let mut node_used = vec![0u32; n];
-    let capacity = vec![1000u32; n];
-    let online = vec![true; n];
+    for i in 0..n {
+        engine.set_node(NodeId::from_index(i), true, 1000, BandwidthClass::Ethernet);
+    }
     let prev_util = vec![0.0f32; n];
     let mut traffic = TrafficAccumulator::default();
     c.bench_function("flood_step/2k_ba", |b| {
         b.iter(|| {
             overlay.reset_tick_counters();
-            node_used.fill(0);
+            engine.clear_used();
             let mut env = FloodEnv {
-                node_used: &mut node_used,
-                capacity: &capacity,
-                online: &online,
                 prev_util: &prev_util,
                 traffic: &mut traffic,
                 policy: ForwardingPolicy::Fifo,
@@ -89,6 +89,64 @@ fn bench_flood_step(c: &mut Criterion) {
         ALLOC.peak_bytes() / 1024,
         ALLOC.allocations()
     );
+}
+
+/// The flood's slow case, at the scale where its time goes: a 100k BA
+/// overlay with the default bandwidth mix and content catalog. One iteration
+/// is one attacked tick at the default settings: a saturating burst (5% of
+/// peers as agents, 20k queries down every link) followed by 30k count-1
+/// targeted queries (0.3 per peer), TTL 4. Every query probes the catalog at
+/// each processing node, and the working set (node records, adjacency,
+/// counters, libraries) is far larger than L2.
+fn bench_flood_step_100k_catalog(c: &mut Criterion) {
+    let n = 100_000usize;
+    let mut rng = StdRng::seed_from_u64(5);
+    let graph =
+        TopologyConfig { n, model: TopologyModel::BarabasiAlbert { m: 3 } }.generate(&mut rng);
+    let bandwidth = BandwidthModel::default();
+    let classes: Vec<_> = (0..n).map(|_| bandwidth.sample(&mut rng)).collect();
+    let mut overlay = Overlay::new(graph, &classes);
+    let catalog = ContentCatalog::generate(n, &ContentConfig::default(), &mut rng);
+    let mut engine = FloodEngine::new(n);
+    for (i, &class) in classes.iter().enumerate() {
+        let v = NodeId::from_index(i);
+        engine.set_node(v, true, 1000, class);
+        engine.refresh_signature(v, &catalog);
+    }
+    let queries: Vec<_> = (0..30_000)
+        .map(|_| (NodeId(rng.gen_range(0..n as u32)), catalog.sample_query_target(&mut rng)))
+        .collect();
+    let agents: Vec<_> = (0..n / 20).map(|_| NodeId(rng.gen_range(0..n as u32))).collect();
+    let prev_util = vec![0.0f32; n];
+    let mut traffic = TrafficAccumulator::default();
+    c.bench_function("flood_step/100k_ba_catalog", |b| {
+        b.iter(|| {
+            overlay.reset_tick_counters();
+            engine.clear_used();
+            let mut env = FloodEnv {
+                prev_util: &prev_util,
+                traffic: &mut traffic,
+                policy: ForwardingPolicy::Fifo,
+                fair_share_factor: 2.0,
+                hop_latency_secs: 0.05,
+                proc_delay_secs: 0.004,
+            };
+            for &origin in &agents {
+                for slot in 0..overlay.degree(origin) {
+                    let burst = FirstHop::Single { slot, count: 20_000 };
+                    engine.flood(&mut overlay, origin, burst, 4, None, &mut env);
+                }
+            }
+            let mut found = 0u32;
+            for &(origin, object) in &queries {
+                let hop = FirstHop::All { count: 1 };
+                let out =
+                    engine.flood(&mut overlay, origin, hop, 4, Some((&catalog, object)), &mut env);
+                found += out.found as u32;
+            }
+            black_box(found)
+        })
+    });
 }
 
 /// Full DD-POLICE `on_tick` on a 512-node overlay where every link carries
@@ -161,6 +219,7 @@ fn bench_neighbor_list_exchange(c: &mut Criterion) {
 criterion_group!(
     hot_kernels,
     bench_flood_step,
+    bench_flood_step_100k_catalog,
     bench_indicator_update,
     bench_neighbor_list_exchange
 );

@@ -191,6 +191,7 @@ impl SimConfig {
                 self.fair_share_factor
             )));
         }
+        self.content.validate().map_err(ConfigError)?;
         self.faults.validate().map_err(ConfigError)?;
         if let Some(session) = &self.session {
             session.validate().map_err(ConfigError)?;
@@ -256,5 +257,32 @@ mod validate_tests {
             ..SimConfig::default()
         };
         assert_eq!(c.validate(), Ok(()));
+    }
+
+    fn with_content(content: ContentConfig) -> SimConfig {
+        SimConfig { content, ..SimConfig::default() }
+    }
+
+    #[test]
+    fn libraries_larger_than_the_catalog_are_rejected() {
+        // Distinct-object sampling could never fill such a library.
+        let c = with_content(ContentConfig { num_objects: 10, objects_per_peer: 11, alpha: 0.8 });
+        assert!(c.validate().unwrap_err().0.contains("content.objects_per_peer"));
+        let c = with_content(ContentConfig { num_objects: 10, objects_per_peer: 10, alpha: 0.8 });
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn an_empty_catalog_is_rejected() {
+        let c = with_content(ContentConfig { num_objects: 0, objects_per_peer: 0, alpha: 0.8 });
+        assert!(c.validate().unwrap_err().0.contains("content.num_objects"));
+    }
+
+    #[test]
+    fn a_non_positive_or_non_finite_alpha_is_rejected() {
+        for alpha in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let c = with_content(ContentConfig { alpha, ..ContentConfig::default() });
+            assert!(c.validate().unwrap_err().0.contains("content.alpha"), "alpha {alpha}");
+        }
     }
 }

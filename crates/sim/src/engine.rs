@@ -15,6 +15,7 @@ use ddp_metrics::{
 };
 use ddp_snapshot::{Dec, Enc, SnapshotError, Snapshottable};
 use ddp_topology::{DynamicGraph, Half, NodeId, Partition};
+use ddp_workload::content::LibraryError;
 use ddp_workload::ContentCatalog;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -94,10 +95,10 @@ pub struct Simulation<D: Defense> {
     /// Completed identity changes, in order.
     whitewash_log: Vec<WhitewashRecord>,
 
-    // Per-tick scratch, refreshed from `nodes` each tick.
-    node_used: Vec<u32>,
+    // Per-tick scratch, refreshed from `nodes` each tick (the flood's own
+    // per-node records, with processed counts and capacities, live in
+    // `flood`).
     online: Vec<bool>,
-    capacity: Vec<u32>,
     prev_util: Vec<f32>,
     runs_defense: Vec<bool>,
     report_behavior: Vec<ReportBehavior>,
@@ -182,11 +183,14 @@ impl<D: Defense> Simulation<D> {
             })
             .collect();
 
+        let mut flood = FloodEngine::new(n);
+        for i in 0..n {
+            flood.refresh_signature(NodeId::from_index(i), &catalog);
+        }
+
         Simulation {
-            flood: FloodEngine::new(n),
-            node_used: vec![0; n],
+            flood,
             online: vec![true; n],
-            capacity: vec![cfg.good_capacity_qpm; n],
             prev_util: vec![0.0; n],
             runs_defense: vec![true; n],
             report_behavior: vec![ReportBehavior::Honest; n],
@@ -291,6 +295,11 @@ impl<D: Defense> Simulation<D> {
         &self.overlay
     }
 
+    /// The content catalog: every peer's library.
+    pub fn catalog(&self) -> &ContentCatalog {
+        &self.catalog
+    }
+
     /// Ground-truth role of a node.
     pub fn role(&self, node: NodeId) -> Role {
         self.nodes[node.index()].role
@@ -366,7 +375,7 @@ impl<D: Defense> Simulation<D> {
         self.crash_step();
         self.refresh_scratch();
         self.overlay.reset_tick_counters();
-        self.node_used.fill(0);
+        self.flood.clear_used();
 
         let mut traffic = TrafficAccumulator::default();
         let mut success = SuccessStats::default();
@@ -442,8 +451,9 @@ impl<D: Defense> Simulation<D> {
     /// Per-tick snapshot of success-critical slices from node state.
     fn refresh_scratch(&mut self) {
         for (i, s) in self.nodes.iter().enumerate() {
+            let node = NodeId::from_index(i);
             self.online[i] = s.online;
-            self.capacity[i] = s.capacity_qpm;
+            self.flood.set_node(node, s.online, s.capacity_qpm, self.overlay.class_of(node));
             self.runs_defense[i] = s.runs_defense && s.online;
             self.report_behavior[i] = s.role.report_behavior();
             self.list_behavior[i] = s.list_behavior;
@@ -617,9 +627,7 @@ impl<D: Defense> Simulation<D> {
             self.cfg.good_capacity_qpm,
             1,
         ));
-        self.node_used.push(0);
         self.online.push(true);
-        self.capacity.push(self.cfg.good_capacity_qpm);
         self.prev_util.push(0.0);
         self.runs_defense.push(true);
         self.report_behavior.push(ReportBehavior::Honest);
@@ -640,11 +648,8 @@ impl<D: Defense> Simulation<D> {
         let capacity = sample_capacity(&self.cfg, &mut self.rng_session);
         self.nodes[node.index()] = NodeState::good(bw, capacity, lifetime);
         self.overlay.set_class(node, bw);
-        self.catalog.regenerate_library(
-            node,
-            self.cfg.content.objects_per_peer,
-            &mut self.rng_session,
-        );
+        self.catalog.regenerate_library(node, &mut self.rng_session);
+        self.flood.refresh_signature(node, &self.catalog);
         self.prev_util[node.index()] = 0.0;
         self.ever_cut[node.index()] = false; // brand-new peer, clean record
         self.counted_wrongly_cut[node.index()] = false;
@@ -722,11 +727,8 @@ impl<D: Defense> Simulation<D> {
         let s = &mut self.nodes[node.index()];
         *s = NodeState::good(bw, capacity, lifetime);
         self.overlay.set_class(node, bw);
-        self.catalog.regenerate_library(
-            node,
-            self.cfg.content.objects_per_peer,
-            &mut self.rng_churn,
-        );
+        self.catalog.regenerate_library(node, &mut self.rng_churn);
+        self.flood.refresh_signature(node, &self.catalog);
         self.prev_util[node.index()] = 0.0;
         self.ever_cut[node.index()] = false; // brand-new peer, clean record
         self.counted_wrongly_cut[node.index()] = false;
@@ -911,9 +913,6 @@ impl<D: Defense> Simulation<D> {
         let emissions = std::mem::take(&mut self.emissions);
         for &em in &emissions {
             let mut env = FloodEnv {
-                node_used: &mut self.node_used,
-                capacity: &self.capacity,
-                online: &self.online,
                 prev_util: &self.prev_util,
                 traffic,
                 policy: self.cfg.forwarding,
@@ -968,16 +967,16 @@ impl<D: Defense> Simulation<D> {
     fn update_utilization(&mut self) {
         let n = self.nodes.len();
         let part = Partition::even(n, self.threads);
-        let (node_used, capacity) = (&self.node_used, &self.capacity);
+        let flood = &self.flood;
         crate::pool::run_chunked(
             self.threads,
             &mut self.prev_util,
             part.boundaries(),
             |start, chunk| {
                 for (k, u) in chunk.iter_mut().enumerate() {
-                    let i = start + k;
-                    let cap = capacity[i].max(1);
-                    *u = (node_used[i] as f32 / cap as f32).min(1.0);
+                    let node = NodeId::from_index(start + k);
+                    let cap = flood.capacity(node).max(1);
+                    *u = (flood.used(node) as f32 / cap as f32).min(1.0);
                 }
             },
         );
@@ -1129,7 +1128,16 @@ impl<D: Defense> Simulation<D> {
                 enc.u32(h.ridx);
             }
         }
-        enc.put(&self.catalog.libraries().to_vec());
+        // Libraries with `Vec<Vec<u32>>` framing, encoded straight from the
+        // catalog's flat store.
+        enc.usize(self.catalog.num_peers());
+        for u in 0..self.catalog.num_peers() {
+            let lib = self.catalog.library(NodeId::from_index(u));
+            enc.usize(lib.len());
+            for &o in lib {
+                enc.u32(o);
+            }
+        }
         save_rng(&mut enc, &self.rng_workload);
         save_rng(&mut enc, &self.rng_churn);
         save_rng(&mut enc, &self.rng_session);
@@ -1196,11 +1204,27 @@ impl<D: Defense> Simulation<D> {
         overlay
             .check_invariants()
             .map_err(|_| SnapshotError::Corrupt { what: "overlay invariants" })?;
-        let libraries: Vec<Vec<u32>> = dec.get()?;
-        if libraries.len() != n {
+        if dec.len("library count")? != n {
             return Err(SnapshotError::Corrupt { what: "library count" });
         }
-        let catalog = ContentCatalog::from_libraries(libraries, &self.cfg.content);
+        let per_peer = self.cfg.content.objects_per_peer;
+        let mut objects = Vec::with_capacity(n * per_peer);
+        for _ in 0..n {
+            if dec.len("library")? != per_peer {
+                return Err(SnapshotError::Corrupt { what: "library length" });
+            }
+            for _ in 0..per_peer {
+                objects.push(dec.u32()?);
+            }
+        }
+        let catalog = ContentCatalog::from_flat(n, objects, &self.cfg.content).map_err(|e| {
+            SnapshotError::Corrupt {
+                what: match e {
+                    LibraryError::Length => "library length",
+                    LibraryError::Order => "library not strictly ascending",
+                },
+            }
+        })?;
         let rng_workload = load_rng(dec)?;
         let rng_churn = load_rng(dec)?;
         let rng_session = load_rng(dec)?;
@@ -1239,6 +1263,9 @@ impl<D: Defense> Simulation<D> {
         self.overlay = overlay;
         self.catalog = catalog;
         self.flood = FloodEngine::new(n);
+        for i in 0..n {
+            self.flood.refresh_signature(NodeId::from_index(i), &self.catalog);
+        }
         self.rng_workload = rng_workload;
         self.rng_churn = rng_churn;
         self.rng_session = rng_session;
@@ -1261,9 +1288,7 @@ impl<D: Defense> Simulation<D> {
         self.response_p95 = response_p95;
         // Per-tick scratch: dead at a tick boundary, rebuilt to defaults and
         // fully refreshed before the next read.
-        self.node_used = vec![0; n];
         self.online = vec![true; n];
-        self.capacity = vec![0; n];
         self.runs_defense = vec![true; n];
         self.report_behavior = vec![ReportBehavior::Honest; n];
         self.list_behavior = vec![ListBehavior::Truthful; n];

@@ -11,18 +11,33 @@
 //! and reused across calls: the flooding loop performs no allocation once
 //! the engine is warm.
 //!
-//! This is the simulator's hottest code: at 10⁵ nodes a single tick visits
-//! millions of half-edges. The inner loop therefore runs against the
-//! overlay's split-borrow ([`Overlay::flood_parts`]): per *sender* it fetches
-//! the neighbor slice, the flat `[sent, accepted]` counter row, and the
-//! capacity-table row exactly once, then walks the slots with no per-edge row
-//! lookups — every counter update in `send_one` lands in the sender's row.
+//! This is the simulator's hottest code: at 10⁵ nodes a single tick makes
+//! millions of sends, almost all of them to a random node whose state is not
+//! in cache. The layout is built around that miss:
+//!
+//! * Everything a send reads or writes about its receiver — online flag,
+//!   bandwidth class, capacity, processed count, visited stamp and a 128-bit
+//!   library signature — sits in one 32-byte `NodeRecord`, so a send
+//!   touches one random cache line instead of five.
+//! * A target probe first tests the receiver's signature bit
+//!   ([`ContentCatalog::signature`]); only a set bit pays for the library
+//!   lookup.
+//! * Before a sender fans out, its receivers' records and the next frontier
+//!   entry's adjacency and counter rows are prefetched, so those misses
+//!   overlap instead of queueing one after another.
+//!
+//! The inner loop runs against the overlay's split-borrow
+//! ([`Overlay::flood_parts`]): per *sender* it fetches the neighbor slice,
+//! the flat `[sent, accepted]` counter row, and the capacity-table row
+//! exactly once, then walks the slots with no per-edge row lookups — every
+//! counter update in `send_one` lands in the sender's row.
 
 use crate::config::ForwardingPolicy;
-use crate::overlay::{Overlay, ACCEPTED, SENT};
+use crate::overlay::{class_index, Overlay, ACCEPTED, SENT};
+use crate::prefetch::prefetch;
 use ddp_metrics::TrafficAccumulator;
 use ddp_topology::{DynamicGraph, Half, NodeId};
-use ddp_workload::{ContentCatalog, ObjectId};
+use ddp_workload::{BandwidthClass, ContentCatalog, ObjectId};
 
 /// How the batch leaves its origin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,14 +62,9 @@ pub struct FloodOutcome {
     pub processed_nodes: u32,
 }
 
-/// Mutable per-tick environment the flood draws budgets from.
+/// Per-tick environment the flood draws delays and settings from. Per-node
+/// budgets live in the engine's `NodeRecord`s.
 pub struct FloodEnv<'a> {
-    /// Per-node processed-query counters for this tick.
-    pub node_used: &'a mut [u32],
-    /// Per-node processing capacities (queries/min).
-    pub capacity: &'a [u32],
-    /// Per-node online flags.
-    pub online: &'a [bool],
     /// Previous-tick utilization per node (congestion delay input).
     pub prev_util: &'a [f32],
     /// Traffic accounting sink.
@@ -80,6 +90,33 @@ impl FloodEnv<'_> {
     }
 }
 
+/// Everything one send reads or writes about its receiver, packed into half
+/// a cache line (and aligned so it never straddles one).
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(32))]
+struct NodeRecord {
+    /// Library signature: see [`ContentCatalog::signature`].
+    signature: u128,
+    /// Generation of the last flood wave this node processed.
+    stamp: u32,
+    /// Queries processed this tick.
+    used: u32,
+    /// Processing capacity, queries/min.
+    capacity: u32,
+    /// Bandwidth class, as an index into the overlay's capacity table.
+    class: u8,
+    /// Whether the node is online.
+    online: bool,
+}
+
+/// The object a flood searches for, with its signature bit precomputed.
+#[derive(Clone, Copy)]
+struct Probe<'a> {
+    catalog: &'a ContentCatalog,
+    object: ObjectId,
+    bit: u128,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     node: NodeId,
@@ -88,10 +125,14 @@ struct Entry {
     delay: f32,
 }
 
-/// Reusable flooding engine (one per simulation).
+/// Reusable flooding engine (one per simulation). It owns each node's
+/// `NodeRecord`: the owner sets online flags, capacities and classes with
+/// [`set_node`](Self::set_node), library signatures with
+/// [`refresh_signature`](Self::refresh_signature), and starts a tick's
+/// budgets with [`clear_used`](Self::clear_used).
 #[derive(Debug, Default)]
 pub struct FloodEngine {
-    visited: Vec<u32>,
+    nodes: Vec<NodeRecord>,
     generation: u32,
     frontier: Vec<Entry>,
     next: Vec<Entry>,
@@ -99,10 +140,11 @@ pub struct FloodEngine {
 }
 
 impl FloodEngine {
-    /// Engine for overlays of `n` nodes.
+    /// Engine for overlays of `n` nodes, all offline with zero capacity
+    /// until [`set_node`](Self::set_node) says otherwise.
     pub fn new(n: usize) -> Self {
         FloodEngine {
-            visited: vec![0; n],
+            nodes: vec![NodeRecord::default(); n],
             generation: 0,
             frontier: Vec::new(),
             next: Vec::new(),
@@ -112,14 +154,50 @@ impl FloodEngine {
 
     /// Grow to accommodate `n` nodes.
     pub fn resize(&mut self, n: usize) {
-        if n > self.visited.len() {
-            self.visited.resize(n, 0);
+        if n > self.nodes.len() {
+            self.nodes.resize(n, NodeRecord::default());
         }
     }
 
+    /// Set `node`'s online flag, processing capacity (queries/min) and
+    /// bandwidth class. Its processed count is left as it is.
+    pub fn set_node(&mut self, node: NodeId, online: bool, capacity: u32, class: BandwidthClass) {
+        let r = &mut self.nodes[node.index()];
+        r.online = online;
+        r.capacity = capacity;
+        r.class = class_index(class) as u8;
+    }
+
+    /// Cache `node`'s library signature from `catalog`. Must follow every
+    /// change to the node's library: a stale signature makes probes miss.
+    pub fn refresh_signature(&mut self, node: NodeId, catalog: &ContentCatalog) {
+        self.nodes[node.index()].signature = catalog.signature(node);
+    }
+
+    /// Zero every node's processed count (the start of a tick).
+    pub fn clear_used(&mut self) {
+        for r in &mut self.nodes {
+            r.used = 0;
+        }
+    }
+
+    /// Queries `node` processed since the last [`clear_used`](Self::clear_used).
     #[inline]
-    fn mark(&mut self, v: NodeId) {
-        self.visited[v.index()] = self.generation;
+    pub fn used(&self, node: NodeId) -> u32 {
+        self.nodes[node.index()].used
+    }
+
+    /// `node`'s processing capacity, queries/min.
+    #[inline]
+    pub fn capacity(&self, node: NodeId) -> u32 {
+        self.nodes[node.index()].capacity
+    }
+
+    /// Continue the visited-stamp counter from `generation`, so tests can
+    /// reach its wraparound without 2³² floods.
+    #[doc(hidden)]
+    pub fn set_generation(&mut self, generation: u32) {
+        self.generation = generation;
     }
 
     /// Flood a batch from `origin`.
@@ -136,41 +214,48 @@ impl FloodEngine {
         env: &mut FloodEnv<'_>,
     ) -> FloodOutcome {
         let mut outcome = FloodOutcome::default();
-        if ttl == 0 || !env.online[origin.index()] {
+        if ttl == 0 || !self.nodes[origin.index()].online {
             return outcome;
         }
         // New BFS wave: bump the visited generation (wrap -> full reset).
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
-            self.visited.fill(0);
+            for r in &mut self.nodes {
+                r.stamp = 0;
+            }
             self.generation = 1;
         }
         self.frontier.clear();
         self.next.clear();
-        self.mark(origin);
+        self.nodes[origin.index()].stamp = self.generation;
         self.current_depth = 1;
+        let probe = target.map(|(catalog, object)| Probe {
+            catalog,
+            object,
+            bit: ContentCatalog::signature_bit(object),
+        });
 
-        let (graph, counters, class_idx, cap_table) = overlay.flood_parts();
+        let (graph, counters, cap_table) = overlay.flood_parts();
 
         // First hop: origin pushes the batch out on the selected link(s).
         {
             let neigh = graph.neighbors(origin);
-            let cap_row = &cap_table[class_idx[origin.index()] as usize];
+            let cap_row = &cap_table[self.nodes[origin.index()].class as usize];
             let row = counters.slice_mut(origin.index());
             match first_hop {
                 FirstHop::All { count } => {
+                    self.prefetch_records(neigh);
                     for (slot, &half) in neigh.iter().enumerate() {
                         self.send_one(
                             graph,
                             row,
                             cap_row,
-                            class_idx,
                             origin,
                             half,
                             slot,
                             count,
                             0.0,
-                            target,
+                            probe,
                             env,
                             &mut outcome,
                         );
@@ -183,13 +268,12 @@ impl FloodEngine {
                         graph,
                         row,
                         cap_row,
-                        class_idx,
                         origin,
                         half,
                         slot,
                         count,
                         0.0,
-                        target,
+                        probe,
                         env,
                         &mut outcome,
                     );
@@ -206,15 +290,22 @@ impl FloodEngine {
             // Move the frontier out so `send_one` can borrow `self` mutably;
             // the buffer is handed back afterwards (no allocation).
             let frontier = std::mem::take(&mut self.frontier);
-            for e in &frontier {
+            for (k, e) in frontier.iter().enumerate() {
+                // Warm the next sender's adjacency and counter rows while
+                // this one fans out.
+                if let Some(after) = frontier.get(k + 1) {
+                    prefetch(graph.neighbors(after.node).as_ptr());
+                    prefetch(counters.slice(after.node.index()).as_ptr());
+                }
                 let neigh = graph.neighbors(e.node);
                 if neigh.is_empty() {
                     continue;
                 }
+                self.prefetch_records(neigh);
                 // Per-sender hoists: every counter touched below lives in the
                 // sender's row, and the capacity row depends only on the
                 // sender's class.
-                let cap_row = &cap_table[class_idx[e.node.index()] as usize];
+                let cap_row = &cap_table[self.nodes[e.node.index()].class as usize];
                 let row = counters.slice_mut(e.node.index());
                 for (slot, &half) in neigh.iter().enumerate() {
                     if half.peer == e.parent {
@@ -224,13 +315,12 @@ impl FloodEngine {
                         graph,
                         row,
                         cap_row,
-                        class_idx,
                         e.node,
                         half,
                         slot,
                         e.count,
                         e.delay,
-                        target,
+                        probe,
                         env,
                         &mut outcome,
                     );
@@ -248,6 +338,15 @@ impl FloodEngine {
         outcome
     }
 
+    /// Start loading the records of every receiver in `neigh`.
+    #[inline]
+    fn prefetch_records(&self, neigh: &[Half]) {
+        let base = self.nodes.as_ptr();
+        for half in neigh {
+            prefetch(base.wrapping_add(half.peer.index()));
+        }
+    }
+
     /// Try to push `count` queries via the half-edge `half` occupying `slot`
     /// of the sender's adjacency (whose counter row is `row` and whose
     /// capacity-table row is `cap_row`); enqueue the receiver into `next` if
@@ -259,13 +358,12 @@ impl FloodEngine {
         graph: &DynamicGraph,
         row: &mut [[u32; 2]],
         cap_row: &[u32; 4],
-        class_idx: &[u8],
         u: NodeId,
         half: Half,
         slot: usize,
         count: u32,
         delay_so_far: f32,
-        target: Option<(&ContentCatalog, ObjectId)>,
+        probe: Option<Probe<'_>>,
         env: &mut FloodEnv<'_>,
         outcome: &mut FloodOutcome,
     ) {
@@ -273,12 +371,13 @@ impl FloodEngine {
             return;
         }
         let v = half.peer;
-        let vi = v.index();
-        if !env.online[vi] {
+        let generation = self.generation;
+        let rec = &mut self.nodes[v.index()];
+        if !rec.online {
             return;
         }
         // Link budget: capacity minus what already crossed this tick.
-        let link_cap = cap_row[class_idx[vi] as usize];
+        let link_cap = cap_row[rec.class as usize];
         let already_on_link = row[slot][SENT];
         let link_room = link_cap.saturating_sub(already_on_link);
         let send_c = count.min(link_room);
@@ -291,7 +390,7 @@ impl FloodEngine {
 
         // Duplicate suppression: v processes each batch wave at most once;
         // later arrivals land in its seen-GUID table and die there.
-        if self.visited[vi] == self.generation {
+        if rec.stamp == generation {
             env.traffic.dropped += send_c as u64;
             return;
         }
@@ -300,14 +399,14 @@ impl FloodEngine {
         row[slot][ACCEPTED] += send_c;
 
         // Node processing budget (optionally fair-shared per incoming link).
-        let node_room = env.capacity[vi].saturating_sub(env.node_used[vi]);
+        let node_room = rec.capacity.saturating_sub(rec.used);
         let room = match env.policy {
             ForwardingPolicy::Fifo => node_room,
             ForwardingPolicy::FairShare => {
                 // Each incoming link may consume at most `factor x capacity /
                 // degree`; `already_on_link` is what this link used so far.
                 let deg = graph.degree(v).max(1) as f64;
-                let share = (env.fair_share_factor * env.capacity[vi] as f64 / deg) as u32;
+                let share = (env.fair_share_factor * rec.capacity as f64 / deg) as u32;
                 let link_allow = share.saturating_sub(already_on_link);
                 node_room.min(link_allow)
             }
@@ -317,14 +416,15 @@ impl FloodEngine {
         if proc_c == 0 {
             return;
         }
-        env.node_used[vi] += proc_c;
-        self.visited[vi] = self.generation;
+        rec.used += proc_c;
+        rec.stamp = generation;
         outcome.processed_nodes += 1;
 
         let delay = delay_so_far + (env.hop_latency_secs + env.node_delay(v)) as f32;
         if !outcome.found {
-            if let Some((catalog, object)) = target {
-                if catalog.holds(v, object) {
+            if let Some(p) = probe {
+                // A clear signature bit proves a miss without the lookup.
+                if rec.signature & p.bit != 0 && p.catalog.holds(v, p.object) {
                     outcome.found = true;
                     outcome.hit_delay_secs = delay as f64;
                     outcome.hit_depth = self.current_depth;
@@ -352,30 +452,41 @@ mod tests {
         Overlay::new(g, &vec![BandwidthClass::Ethernet; n])
     }
 
+    /// An engine whose nodes are all online with capacity `cap`, classed as
+    /// in `o`.
+    fn engine(o: &Overlay, cap: u32) -> FloodEngine {
+        let mut fe = FloodEngine::new(o.node_count());
+        for i in 0..o.node_count() {
+            let v = NodeId::from_index(i);
+            fe.set_node(v, true, cap, o.class_of(v));
+        }
+        fe
+    }
+
+    /// Every node's processed count.
+    fn used(fe: &FloodEngine) -> Vec<u32> {
+        fe.nodes.iter().map(|r| r.used).collect()
+    }
+
+    /// Cache every node's library signature from `catalog` in `fe`.
+    fn sign(fe: &mut FloodEngine, catalog: &ContentCatalog) {
+        for i in 0..catalog.num_peers() {
+            fe.refresh_signature(NodeId::from_index(i), catalog);
+        }
+    }
+
     struct Env {
-        node_used: Vec<u32>,
-        capacity: Vec<u32>,
-        online: Vec<bool>,
         prev_util: Vec<f32>,
         traffic: TrafficAccumulator,
     }
 
     impl Env {
-        fn new(n: usize, cap: u32) -> Self {
-            Env {
-                node_used: vec![0; n],
-                capacity: vec![cap; n],
-                online: vec![true; n],
-                prev_util: vec![0.0; n],
-                traffic: TrafficAccumulator::default(),
-            }
+        fn new(n: usize) -> Self {
+            Env { prev_util: vec![0.0; n], traffic: TrafficAccumulator::default() }
         }
 
         fn env(&mut self) -> FloodEnv<'_> {
             FloodEnv {
-                node_used: &mut self.node_used,
-                capacity: &self.capacity,
-                online: &self.online,
                 prev_util: &self.prev_util,
                 traffic: &mut self.traffic,
                 policy: ForwardingPolicy::Fifo,
@@ -390,11 +501,11 @@ mod tests {
     fn flood_reaches_everyone_within_ttl_on_a_path() {
         // 0-1-2-3-4: ttl 2 from node 0 processes nodes 1 and 2 only.
         let mut o = overlay(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let mut env = Env::new(5, 1000);
-        let mut fe = FloodEngine::new(5);
+        let mut env = Env::new(5);
+        let mut fe = engine(&o, 1000);
         let out = fe.flood(&mut o, NodeId(0), FirstHop::All { count: 1 }, 2, None, &mut env.env());
         assert_eq!(out.processed_nodes, 2);
-        assert_eq!(env.node_used, vec![0, 1, 1, 0, 0]);
+        assert_eq!(used(&fe), vec![0, 1, 1, 0, 0]);
         assert_eq!(o.sent_between(NodeId(0), NodeId(1)), 1);
         assert_eq!(o.sent_between(NodeId(1), NodeId(2)), 1);
         assert_eq!(o.sent_between(NodeId(2), NodeId(3)), 0);
@@ -405,11 +516,11 @@ mod tests {
         // Triangle 0-1-2: node 0 floods; 1 and 2 both process once, and the
         // 1->2 / 2->1 copies are dup-dropped.
         let mut o = overlay(3, &[(0, 1), (1, 2), (0, 2)]);
-        let mut env = Env::new(3, 1000);
-        let mut fe = FloodEngine::new(3);
+        let mut env = Env::new(3);
+        let mut fe = engine(&o, 1000);
         let out = fe.flood(&mut o, NodeId(0), FirstHop::All { count: 5 }, 7, None, &mut env.env());
         assert_eq!(out.processed_nodes, 2);
-        assert_eq!(env.node_used, vec![0, 5, 5]);
+        assert_eq!(used(&fe), vec![0, 5, 5]);
         // The duplicate copies were sent (consumed bandwidth) then dropped.
         assert_eq!(env.traffic.dropped, 10);
         // No echo back to the origin.
@@ -421,10 +532,10 @@ mod tests {
     fn node_capacity_limits_processing() {
         // 0 -> 1 with capacity 3 at node 1: a batch of 10 processes 3.
         let mut o = overlay(2, &[(0, 1)]);
-        let mut env = Env::new(2, 3);
-        let mut fe = FloodEngine::new(2);
+        let mut env = Env::new(2);
+        let mut fe = engine(&o, 3);
         fe.flood(&mut o, NodeId(0), FirstHop::All { count: 10 }, 2, None, &mut env.env());
-        assert_eq!(env.node_used[1], 3);
+        assert_eq!(used(&fe)[1], 3);
         assert_eq!(env.traffic.dropped, 7);
         // The wire still carried all 10.
         assert_eq!(o.sent_between(NodeId(0), NodeId(1)), 10);
@@ -438,20 +549,20 @@ mod tests {
         let mut o = Overlay::new(g, &[BandwidthClass::Ethernet, BandwidthClass::Dialup]);
         let cap = o.link_capacity(NodeId(0), NodeId(1));
         assert_eq!(cap, 840);
-        let mut env = Env::new(2, 100_000);
-        let mut fe = FloodEngine::new(2);
+        let mut env = Env::new(2);
+        let mut fe = engine(&o, 100_000);
         fe.flood(&mut o, NodeId(0), FirstHop::All { count: 20_000 }, 2, None, &mut env.env());
         assert_eq!(o.sent_between(NodeId(0), NodeId(1)), cap);
         assert_eq!(env.traffic.dropped, (20_000 - cap) as u64);
-        assert_eq!(env.node_used[1], cap);
+        assert_eq!(used(&fe)[1], cap);
     }
 
     #[test]
     fn single_slot_first_hop_only_uses_that_link() {
         let mut o = overlay(4, &[(0, 1), (0, 2), (0, 3)]);
         let slot = o.graph().slot_of(NodeId(0), NodeId(2)).unwrap();
-        let mut env = Env::new(4, 1000);
-        let mut fe = FloodEngine::new(4);
+        let mut env = Env::new(4);
+        let mut fe = engine(&o, 1000);
         fe.flood(&mut o, NodeId(0), FirstHop::Single { slot, count: 9 }, 1, None, &mut env.env());
         assert_eq!(o.sent_between(NodeId(0), NodeId(2)), 9);
         assert_eq!(o.sent_between(NodeId(0), NodeId(1)), 0);
@@ -461,20 +572,20 @@ mod tests {
     #[test]
     fn offline_nodes_are_skipped() {
         let mut o = overlay(3, &[(0, 1), (1, 2)]);
-        let mut env = Env::new(3, 1000);
-        env.online[1] = false;
-        let mut fe = FloodEngine::new(3);
+        let mut env = Env::new(3);
+        let mut fe = engine(&o, 1000);
+        fe.set_node(NodeId(1), false, 1000, BandwidthClass::Ethernet);
         let out = fe.flood(&mut o, NodeId(0), FirstHop::All { count: 4 }, 7, None, &mut env.env());
         assert_eq!(out.processed_nodes, 0);
-        assert_eq!(env.node_used, vec![0, 0, 0]);
+        assert_eq!(used(&fe), vec![0, 0, 0]);
     }
 
     #[test]
     fn offline_origin_floods_nothing() {
         let mut o = overlay(2, &[(0, 1)]);
-        let mut env = Env::new(2, 1000);
-        env.online[0] = false;
-        let mut fe = FloodEngine::new(2);
+        let mut env = Env::new(2);
+        let mut fe = engine(&o, 1000);
+        fe.set_node(NodeId(0), false, 1000, BandwidthClass::Ethernet);
         let out = fe.flood(&mut o, NodeId(0), FirstHop::All { count: 4 }, 7, None, &mut env.env());
         assert_eq!(out.processed_nodes, 0);
         assert_eq!(env.traffic.query_hops, 0);
@@ -488,8 +599,9 @@ mod tests {
         let cfg = ContentConfig { num_objects: 10, objects_per_peer: 10, alpha: 1.0 };
         let catalog = ContentCatalog::generate(3, &cfg, &mut rng);
         // With 10 objects and 10 per peer, node 2 holds everything.
-        let mut env = Env::new(3, 1000);
-        let mut fe = FloodEngine::new(3);
+        let mut env = Env::new(3);
+        let mut fe = engine(&o, 1000);
+        sign(&mut fe, &catalog);
         let out = fe.flood(
             &mut o,
             NodeId(0),
@@ -507,11 +619,12 @@ mod tests {
     #[test]
     fn congestion_raises_delay() {
         let mut o = overlay(2, &[(0, 1)]);
-        let mut env = Env::new(2, 1000);
-        let mut fe = FloodEngine::new(2);
+        let mut env = Env::new(2);
+        let mut fe = engine(&o, 1000);
         let mut rng = StdRng::seed_from_u64(2);
         let cfg = ContentConfig { num_objects: 2, objects_per_peer: 2, alpha: 1.0 };
         let catalog = ContentCatalog::generate(2, &cfg, &mut rng);
+        sign(&mut fe, &catalog);
         let idle = fe
             .flood(
                 &mut o,
@@ -523,7 +636,7 @@ mod tests {
             )
             .hit_delay_secs;
         o.reset_tick_counters();
-        env.node_used.fill(0);
+        fe.clear_used();
         env.prev_util[1] = 0.95;
         let busy = fe
             .flood(
@@ -538,7 +651,7 @@ mod tests {
         assert!(busy > idle * 2.0, "busy {busy} should dwarf idle {idle}");
         // Near-saturation (clamped at 0.98) inflates further.
         o.reset_tick_counters();
-        env.node_used.fill(0);
+        fe.clear_used();
         env.prev_util[1] = 1.0;
         let saturated = fe
             .flood(
@@ -558,26 +671,26 @@ mod tests {
         // Star: 1,2,3 -> 0. Node 0 capacity 90, degree 3, factor 1.0:
         // each incoming link may use at most 30.
         let mut o = overlay(4, &[(0, 1), (0, 2), (0, 3)]);
-        let mut env = Env::new(4, 90);
-        let mut fe = FloodEngine::new(4);
+        let mut env = Env::new(4);
+        let mut fe = engine(&o, 90);
         let mut fenv = env.env();
         fenv.policy = ForwardingPolicy::FairShare;
         fenv.fair_share_factor = 1.0;
         fe.flood(&mut o, NodeId(1), FirstHop::All { count: 80 }, 1, None, &mut fenv);
-        assert_eq!(env.node_used[0], 30, "fair share caps the flood at 30");
+        assert_eq!(used(&fe)[0], 30, "fair share caps the flood at 30");
         // A second link still gets its share.
         let mut fenv = env.env();
         fenv.policy = ForwardingPolicy::FairShare;
         fenv.fair_share_factor = 1.0;
         fe.flood(&mut o, NodeId(2), FirstHop::All { count: 80 }, 1, None, &mut fenv);
-        assert_eq!(env.node_used[0], 60);
+        assert_eq!(used(&fe)[0], 60);
     }
 
     #[test]
     fn ttl_zero_is_a_noop() {
         let mut o = overlay(2, &[(0, 1)]);
-        let mut env = Env::new(2, 1000);
-        let mut fe = FloodEngine::new(2);
+        let mut env = Env::new(2);
+        let mut fe = engine(&o, 1000);
         let out = fe.flood(&mut o, NodeId(0), FirstHop::All { count: 5 }, 0, None, &mut env.env());
         assert_eq!(out.processed_nodes, 0);
         assert_eq!(env.traffic.query_hops, 0);
@@ -586,13 +699,24 @@ mod tests {
     #[test]
     fn generation_wraparound_resets_visited() {
         let mut o = overlay(2, &[(0, 1)]);
-        let mut env = Env::new(2, 1000);
-        let mut fe = FloodEngine::new(2);
+        let mut env = Env::new(2);
+        let mut fe = engine(&o, 1000);
+        // The first wave stamps node 1 with generation 1, which the wave
+        // after the wrap reuses: a stamp left over from it would read as
+        // "already visited".
+        let out = fe.flood(&mut o, NodeId(0), FirstHop::All { count: 1 }, 2, None, &mut env.env());
+        assert_eq!(out.processed_nodes, 1);
         fe.generation = u32::MAX; // force wrap on next flood
         let out = fe.flood(&mut o, NodeId(0), FirstHop::All { count: 1 }, 2, None, &mut env.env());
         assert_eq!(out.processed_nodes, 1);
         // And a subsequent flood still works.
         let out2 = fe.flood(&mut o, NodeId(0), FirstHop::All { count: 1 }, 2, None, &mut env.env());
         assert_eq!(out2.processed_nodes, 1);
+    }
+
+    #[test]
+    fn node_record_fills_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<NodeRecord>(), 32);
+        assert_eq!(std::mem::align_of::<NodeRecord>(), 32);
     }
 }

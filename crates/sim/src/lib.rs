@@ -41,6 +41,7 @@ pub mod flood;
 pub mod node;
 pub mod overlay;
 pub mod pool;
+mod prefetch;
 pub mod session;
 
 pub use config::{ForwardingPolicy, SimConfig};

@@ -30,7 +30,7 @@ pub(crate) const SENT: usize = 0;
 /// its seen-GUID table.
 pub(crate) const ACCEPTED: usize = 1;
 
-fn class_index(c: BandwidthClass) -> usize {
+pub(crate) fn class_index(c: BandwidthClass) -> usize {
     match c {
         BandwidthClass::Dialup => 0,
         BandwidthClass::Dsl => 1,
@@ -220,16 +220,14 @@ impl Overlay {
             .sum()
     }
 
-    /// Split-borrow for the flood kernel: read-only graph + class/capacity
-    /// tables alongside the mutable counter arena, so the hot loop can hold a
-    /// neighbor slice and a counter row simultaneously.
-    #[allow(clippy::type_complexity)]
+    /// Split-borrow for the flood kernel: read-only graph + capacity table
+    /// alongside the mutable counter arena, so the hot loop can hold a
+    /// neighbor slice and a counter row simultaneously. The kernel reads
+    /// node classes from its own per-node records, not from this overlay.
     #[inline]
-    pub(crate) fn flood_parts(
-        &mut self,
-    ) -> (&DynamicGraph, &mut SegVec<[u32; 2]>, &[u8], &[[u32; 4]; 4]) {
-        let Overlay { graph, counters, class_idx, cap_table } = self;
-        (graph, counters, class_idx.as_slice(), cap_table)
+    pub(crate) fn flood_parts(&mut self) -> (&DynamicGraph, &mut SegVec<[u32; 2]>, &[[u32; 4]; 4]) {
+        let Overlay { graph, counters, cap_table, .. } = self;
+        (graph, counters, cap_table)
     }
 
     /// Verify the mirror stays aligned with the adjacency (tests).

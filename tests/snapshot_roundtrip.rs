@@ -14,12 +14,14 @@
 //! * **Corruption handling** — truncated, bit-flipped, and mislabeled
 //!   snapshot files come back as the right typed [`SnapshotError`], never a
 //!   panic, and a snapshot never restores into an engine with a different
-//!   configuration.
+//!   configuration. So does a well-formed container whose payload holds a
+//!   content library of the wrong length or out of order.
 
 use ddpolice::oracle::ScenarioSpec;
 use ddpolice::police::DdPolice;
 use ddpolice::sim::Simulation;
-use ddpolice::snapshot::SnapshotError;
+use ddpolice::snapshot::{Enc, SnapshotError};
+use ddpolice::topology::NodeId;
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -326,4 +328,68 @@ fn corruption_is_detected_before_the_engine_is_touched() {
     assert_eq!(survivor.summary, clean.summary);
     assert_eq!(survivor.series, clean.series);
     let _ = std::fs::remove_file(&path);
+}
+
+/// A valid container whose payload has one content library rewritten by
+/// `corrupt` (given the library block's bytes, the offset of the first
+/// library's length prefix, and the library size), restored into a fresh
+/// engine.
+fn restore_with_corrupt_library(corrupt: impl Fn(&mut [u8], usize, usize)) -> SnapshotError {
+    let spec = ScenarioSpec::random(7);
+    let mut sim = build(&spec);
+    for _ in 0..3 {
+        sim.step();
+    }
+    let bytes = sim.save_snapshot().unwrap();
+    let (context, mut payload) =
+        ddpolice::snapshot::decode_container(&bytes, std::path::Path::new("<memory>")).unwrap();
+    // The library block as the engine frames it: a peer count, then each
+    // library as a length-prefixed list of object ids.
+    let catalog = sim.catalog();
+    let mut enc = Enc::new();
+    enc.usize(catalog.num_peers());
+    for u in 0..catalog.num_peers() {
+        let lib = catalog.library(NodeId::from_index(u));
+        enc.usize(lib.len());
+        for &o in lib {
+            enc.u32(o);
+        }
+    }
+    let block = enc.into_bytes();
+    let at = payload
+        .windows(block.len())
+        .position(|w| w == block.as_slice())
+        .expect("library block present in the payload");
+    let per_peer = catalog.library(NodeId(0)).len();
+    assert!(per_peer >= 2, "the scenario's libraries must hold two objects to reorder");
+    corrupt(&mut payload[at..at + block.len()], 8, per_peer);
+    let forged = ddpolice::snapshot::encode_container(context, &payload);
+    build(&spec).restore_snapshot(&forged).unwrap_err()
+}
+
+#[test]
+fn a_library_of_the_wrong_length_is_corrupt() {
+    let err = restore_with_corrupt_library(|block, first, per_peer| {
+        // Claim one object fewer than the configured library size.
+        block[first..first + 8].copy_from_slice(&(per_peer as u64 - 1).to_le_bytes());
+    });
+    assert!(
+        matches!(err, SnapshotError::Corrupt { what: "library length" }),
+        "expected Corrupt(library length), got: {err}"
+    );
+}
+
+#[test]
+fn a_library_out_of_order_is_corrupt() {
+    let err = restore_with_corrupt_library(|block, first, _| {
+        // Swap the first library's two smallest objects.
+        let ids = first + 8;
+        let (a, b) = (block[ids..ids + 4].to_vec(), block[ids + 4..ids + 8].to_vec());
+        block[ids..ids + 4].copy_from_slice(&b);
+        block[ids + 4..ids + 8].copy_from_slice(&a);
+    });
+    assert!(
+        matches!(err, SnapshotError::Corrupt { what: "library not strictly ascending" }),
+        "expected Corrupt(library not strictly ascending), got: {err}"
+    );
 }
